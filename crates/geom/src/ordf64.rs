@@ -6,9 +6,8 @@
 //! genuine total order and agrees with `<` on the ordinary values every
 //! distance computation produces.
 //!
-//! All priority queues of distances in the workspace (the spatial index's
-//! k-NN search, Dijkstra's frontier) share this one wrapper instead of
-//! re-declaring it privately.
+//! Priority queues of distances (Dijkstra's frontier) use this one wrapper
+//! instead of re-declaring it privately.
 
 /// `f64` wrapper ordered by [`f64::total_cmp`].
 #[derive(Clone, Copy, Debug, Default)]

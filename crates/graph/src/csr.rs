@@ -1,6 +1,46 @@
 //! CSR (compressed sparse row) adjacency.
 
+use rayon::prelude::*;
+
 use crate::builder::EdgeList;
+
+/// Directed out-lists in flat form — the emission unit of the k-NN
+/// builders, symmetrised by [`Csr::from_directed`]. List `i` holds the
+/// out-neighbours of `sources[i]`.
+#[derive(Debug, Default)]
+pub struct DirectedLists {
+    sources: Vec<u32>,
+    /// `targets[ends[i - 1]..ends[i]]` is list `i` (from 0 for `i = 0`).
+    ends: Vec<usize>,
+    targets: Vec<u32>,
+}
+
+impl DirectedLists {
+    pub fn new() -> Self {
+        DirectedLists::default()
+    }
+
+    /// Append the out-list of `source`.
+    pub fn push(&mut self, source: u32, targets: impl IntoIterator<Item = u32>) {
+        self.targets.extend(targets);
+        self.sources.push(source);
+        self.ends.push(self.targets.len());
+    }
+
+    /// `(source, out-neighbours)` in push order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        self.sources
+            .iter()
+            .zip(starts.zip(&self.ends))
+            .map(|(&u, (s, &e))| (u, &self.targets[s..e]))
+    }
+}
+
+/// Slots per block of the per-node sort/dedup fan-out in
+/// [`Csr::from_directed`]: large enough to amortise the fan-out, small
+/// enough that the tail balances across workers.
+const SYMMETRISE_BLOCK_SLOTS: usize = 1 << 16;
 
 /// An undirected graph in CSR form: `targets[offsets[u]..offsets[u + 1]]`
 /// are the neighbours of `u`, sorted ascending.
@@ -46,6 +86,111 @@ impl Csr {
             csr.targets[s..e].sort_unstable();
         }
         csr
+    }
+
+    /// Symmetrise directed out-lists into the undirected graph on `n`
+    /// nodes: `{map(u), map(v)}` is an edge iff some part lists `v` under
+    /// `u`. `map` relabels every id on the way in (`None` is the identity)
+    /// — the Morton-ordered builders pass rank-space lists with `to_orig`
+    /// and get the original-id graph without a separate remap. Repeated
+    /// pairs (either direction, any part) collapse; self-loops must not
+    /// occur.
+    ///
+    /// Both directions of every pair are counting-sorted straight into
+    /// their node's slot range, then each node's range is sorted and
+    /// deduplicated — fanned out over node blocks — and the blocks are
+    /// compacted into place. The result is the canonical CSR, identical to
+    /// [`Self::from_edge_list`] over the same pairs.
+    pub fn from_directed(n: usize, parts: &[DirectedLists], map: Option<&[u32]>) -> Self {
+        debug_assert!(
+            map.is_none_or(|m| m.len() == n),
+            "map must cover every node"
+        );
+        let id = |x: u32| map.map_or(x, |m| m[x as usize]) as usize;
+        let mut start = vec![0usize; n + 1];
+        for (u, list) in parts.iter().flat_map(DirectedLists::iter) {
+            start[id(u) + 1] += list.len();
+            for &v in list {
+                start[id(v) + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut cursor = start[..n].to_vec();
+        let mut slots = vec![0u32; start[n]];
+        for (u, list) in parts.iter().flat_map(DirectedLists::iter) {
+            let a = id(u);
+            for &v in list {
+                let b = id(v);
+                debug_assert_ne!(a, b, "self-loop");
+                slots[cursor[a]] = b as u32;
+                cursor[a] += 1;
+                slots[cursor[b]] = a as u32;
+                cursor[b] += 1;
+            }
+        }
+        drop(cursor);
+
+        // Node blocks of about SYMMETRISE_BLOCK_SLOTS slots each; a block
+        // sorts and dedups its nodes' ranges, compacting them to the front
+        // of its own slot range, and reports the surviving degrees.
+        let mut blocks: Vec<(std::ops::Range<usize>, &mut [u32])> = Vec::new();
+        let mut rest: &mut [u32] = &mut slots;
+        let mut first = 0;
+        while first < n {
+            let mut last = first + 1;
+            while last < n && start[last] - start[first] < SYMMETRISE_BLOCK_SLOTS {
+                last += 1;
+            }
+            let (block, tail) = rest.split_at_mut(start[last] - start[first]);
+            blocks.push((first..last, block));
+            rest = tail;
+            first = last;
+        }
+        let start = &start;
+        let degrees: Vec<Vec<u32>> = blocks
+            .into_par_iter()
+            .map(|(nodes, block)| {
+                let base = start[nodes.start];
+                let mut kept = 0;
+                let mut degs = Vec::with_capacity(nodes.len());
+                for u in nodes {
+                    let (s, e) = (start[u] - base, start[u + 1] - base);
+                    block[s..e].sort_unstable();
+                    let from = kept;
+                    for i in s..e {
+                        if i == s || block[i] != block[i - 1] {
+                            block[kept] = block[i];
+                            kept += 1;
+                        }
+                    }
+                    degs.push((kept - from) as u32);
+                }
+                degs
+            })
+            .collect();
+
+        // Compact the blocks' kept prefixes in block order.
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        let mut write = 0usize;
+        let mut node = 0usize;
+        for degs in &degrees {
+            let read = start[node];
+            let kept: usize = degs.iter().map(|&d| d as usize).sum();
+            slots.copy_within(read..read + kept, write);
+            for &d in degs {
+                write += d as usize;
+                offsets.push(write as u32);
+            }
+            node += degs.len();
+        }
+        // Both directions of a mutual pair were counted, so the slots can
+        // be up to twice the final size; callers keep the graph alive.
+        slots.truncate(write);
+        slots.shrink_to_fit();
+        Csr::from_sorted_parts(offsets, slots)
     }
 
     /// Assemble from already-valid CSR arrays: `offsets` of length `n + 1`
@@ -191,6 +336,42 @@ mod tests {
         assert!(f.has_edge(3, 4));
         assert!(!f.has_edge(1, 2));
         assert!(f.neighbors(2).is_empty());
+    }
+
+    #[test]
+    fn from_directed_matches_the_edge_list_path_through_any_map() {
+        // Enough slots for several sort/dedup blocks; repeated and mutual
+        // pairs included, split over two parts, relabelled by a reversal.
+        let n = 3000u32;
+        let mut parts = vec![DirectedLists::new(), DirectedLists::new()];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut pairs = Vec::new();
+        for u in 0..n {
+            let list: Vec<u32> = (0..30)
+                .map(|_| (u + 1 + (next() % (n as u64 - 1)) as u32) % n)
+                .collect();
+            pairs.extend(list.iter().map(|&v| (u, v)));
+            parts[(u % 2) as usize].push(u, list);
+        }
+        let rev: Vec<u32> = (0..n).rev().collect();
+        for map in [None, Some(rev.as_slice())] {
+            let id = |x: u32| map.map_or(x, |m| m[x as usize]);
+            let mut el = EdgeList::new(n as usize);
+            for &(u, v) in &pairs {
+                el.add(id(u), id(v));
+            }
+            assert_eq!(
+                Csr::from_directed(n as usize, &parts, map),
+                Csr::from_edge_list(el)
+            );
+        }
+        assert_eq!(Csr::from_directed(4, &[], None), Csr::empty(4));
     }
 
     #[test]

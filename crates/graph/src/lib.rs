@@ -10,7 +10,8 @@
 //!
 //! Modules:
 //!
-//! * [`csr`] — the [`Csr`] structure and its [`builder::EdgeList`] builder.
+//! * [`csr`] — the [`Csr`] structure, built from a [`builder::EdgeList`]
+//!   or by symmetrising [`DirectedLists`].
 //! * [`chunked`] — the [`ChunkedCsr`]: per-shard adjacency chunks with
 //!   slack pages, spliced in place in O(dirty) per churned epoch.
 //! * [`view`] — the [`GraphView`] trait and [`CsrView`] enum unifying the
@@ -46,7 +47,7 @@ pub mod view;
 
 pub use builder::EdgeList;
 pub use chunked::{ChunkedCsr, SpliceStats};
-pub use csr::Csr;
+pub use csr::{Csr, DirectedLists};
 pub use delta::{
     check_monotone, deactivate_vertices, fingerprint, relabel, IdRemap, MonotonicityError,
     ShardedEdgeStore,

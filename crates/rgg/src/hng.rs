@@ -36,7 +36,8 @@ use wsn_graph::{Csr, EdgeList};
 use wsn_pointproc::PointSet;
 use wsn_spatial::GridIndex;
 
-use crate::sharded::{fan_out, interior_margin, knn_cell_size, plan, Shard};
+use crate::knn::knn_cell_size;
+use crate::sharded::{fan_out, interior_margin, plan, Shard};
 
 /// Promotion cap: levels are geometric, so 24 levels cover any population
 /// this repo reaches (`p = 0.5` exhausts ~16 million nodes) while keeping

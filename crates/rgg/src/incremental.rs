@@ -51,13 +51,14 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 use wsn_geom::{Aabb, ShardGrid};
-use wsn_graph::{relabel, ChunkedCsr, Csr, IdRemap, ShardedEdgeStore};
+use wsn_graph::{relabel, ChunkedCsr, Csr, DirectedLists, IdRemap, ShardedEdgeStore};
 use wsn_pointproc::PointSet;
 use wsn_spatial::GridIndex;
 
 use crate::hng::{derive_hng, hng_levels, HngDeps, LevelSets};
+use crate::knn::knn_cell_size;
 use crate::sharded::{
-    derive_gabriel, derive_knn, derive_rng, derive_udg, derive_yao, knn_cell_size, Shard,
+    derive_gabriel, derive_knn, derive_rng, derive_udg, derive_yao, KnnShard, Shard,
 };
 use crate::{
     build_gabriel, build_hng_on_levels, build_knn, build_rng, build_udg, build_yao, hng_halo,
@@ -705,26 +706,25 @@ impl IncrementalGraph {
                             .as_ref()
                             .is_some_and(|bb| padded.contains_aabb(bb));
                         let uncertified = Cell::new(false);
-                        let (lists, strag) = derive_knn(&shard, k, &padded, covers_all, |p, gu| {
-                            let skip = remap.local_of(gu);
-                            match index.knn(p, k, skip) {
-                                Ok(r) => r.into_iter().map(|(v, _)| remap.universe_of(v)).collect(),
-                                Err(_) => {
-                                    uncertified.set(true);
-                                    Vec::new()
+                        let ks = KnnShard::new(&shard, k, None);
+                        let all = 0..ks.owned.len();
+                        let (lists, strag) =
+                            derive_knn(&ks, k, &padded, covers_all, all, |p, gu| {
+                                let skip = remap.local_of(gu);
+                                match index.knn(p, k, skip) {
+                                    Ok(r) => {
+                                        r.into_iter().map(|(v, _)| remap.universe_of(v)).collect()
+                                    }
+                                    Err(_) => {
+                                        uncertified.set(true);
+                                        Vec::new()
+                                    }
                                 }
-                            }
-                        });
+                            });
                         if uncertified.get() {
                             return Err(Vec::new());
                         }
-                        let mut edges = Vec::new();
-                        for (gu, list) in lists {
-                            for v in list {
-                                edges.push((gu.min(v), gu.max(v)));
-                            }
-                        }
-                        Ok((edges, strag, HngDeps::default()))
+                        Ok((canonical_edges(&lists), strag, HngDeps::default()))
                     }
                     IncTopology::Hng { links, .. } => {
                         let padded = grid.padded(s, halo);
@@ -970,20 +970,17 @@ impl IncrementalGraph {
                     IncTopology::Knn { k } => {
                         let padded = grid.padded(s, halo);
                         let covers_all = padded.contains_aabb(&bbox);
-                        let (lists, strag) = derive_knn(&shard, k, &padded, covers_all, |p, gu| {
-                            index
-                                .knn(p, k, Some(to_compact[gu as usize]))
-                                .into_iter()
-                                .map(|(v, _)| to_universe[v as usize])
-                                .collect()
-                        });
-                        let mut edges = Vec::new();
-                        for (gu, list) in lists {
-                            for v in list {
-                                edges.push((gu.min(v), gu.max(v)));
-                            }
-                        }
-                        (edges, strag, HngDeps::default())
+                        let ks = KnnShard::new(&shard, k, None);
+                        let all = 0..ks.owned.len();
+                        let (lists, strag) =
+                            derive_knn(&ks, k, &padded, covers_all, all, |p, gu| {
+                                index
+                                    .knn(p, k, Some(to_compact[gu as usize]))
+                                    .into_iter()
+                                    .map(|(v, _)| to_universe[v as usize])
+                                    .collect()
+                            });
+                        (canonical_edges(&lists), strag, HngDeps::default())
                     }
                     IncTopology::Hng { links, .. } => {
                         let padded = grid.padded(s, halo);
@@ -1074,6 +1071,16 @@ impl IncrementalGraph {
 pub fn compact_alive(points: &PointSet, alive: &[bool]) -> (PointSet, Vec<u32>) {
     let (sub, to_universe, _) = compact(points, alive);
     (sub, to_universe)
+}
+
+/// A shard's k-NN emissions as canonical pairs, one per listed direction:
+/// a pair listed from both ends appears twice and collapses downstream,
+/// like Yao's.
+fn canonical_edges(lists: &DirectedLists) -> Vec<(u32, u32)> {
+    lists
+        .iter()
+        .flat_map(|(u, list)| list.iter().map(move |&v| (u.min(v), u.max(v))))
+        .collect()
 }
 
 /// Universe ids grouped by owner shard (counting sort, so ids stay

@@ -6,13 +6,14 @@
 //! deterministically by point id, as the paper permits ("any tie-breaking
 //! mechanism we deem fit").
 
-use wsn_graph::{Csr, EdgeList};
+use wsn_graph::{Csr, DirectedLists};
 use wsn_pointproc::PointSet;
 use wsn_spatial::GridIndex;
 
 /// Choose a grid cell size that makes k-NN searches cheap: roughly the
 /// radius expected to contain k points at the set's average density.
-fn knn_cell_size(points: &PointSet, k: usize) -> f64 {
+/// Shared by every k-NN builder, sharded and incremental included.
+pub(crate) fn knn_cell_size(points: &PointSet, k: usize) -> f64 {
     let bb = points.bounding_box().unwrap();
     let area = bb.area().max(1e-9);
     let density = points.len() as f64 / area;
@@ -21,35 +22,40 @@ fn knn_cell_size(points: &PointSet, k: usize) -> f64 {
         .clamp(1e-3, bb.width().max(bb.height()).max(1e-3))
 }
 
+/// The directed k-NN lists of every point, one serial pass over one
+/// index.
+fn knn_directed(points: &PointSet, k: usize) -> DirectedLists {
+    let mut out = DirectedLists::new();
+    if points.is_empty() || k == 0 {
+        return out;
+    }
+    let index = GridIndex::build(points, knn_cell_size(points, k));
+    let mut buf = Vec::new();
+    for (u, p) in points.iter_enumerated() {
+        index.knn_into(p, k, Some(u), None, &mut buf);
+        out.push(u, buf.iter().map(|&(_, v)| v));
+    }
+    out
+}
+
+/// Scatter directed lists into one `Vec` per source over `n` nodes.
+pub(crate) fn lists_by_source(n: usize, parts: &[DirectedLists]) -> Vec<Vec<u32>> {
+    let mut lists = vec![Vec::new(); n];
+    for (u, list) in parts.iter().flat_map(DirectedLists::iter) {
+        lists[u as usize] = list.to_vec();
+    }
+    lists
+}
+
 /// The directed k-NN lists: `lists[u]` = ids of the (up to) k nearest
 /// neighbours of `u`, ordered by increasing distance.
 pub fn knn_lists(points: &PointSet, k: usize) -> Vec<Vec<u32>> {
-    if points.is_empty() || k == 0 {
-        return vec![Vec::new(); points.len()];
-    }
-    let index = GridIndex::build(points, knn_cell_size(points, k));
-    points
-        .iter_enumerated()
-        .map(|(u, p)| {
-            index
-                .knn(p, k, Some(u))
-                .into_iter()
-                .map(|(id, _)| id)
-                .collect()
-        })
-        .collect()
+    lists_by_source(points.len(), &[knn_directed(points, k)])
 }
 
 /// Build the undirected `NN(points, k)` graph.
 pub fn build_knn(points: &PointSet, k: usize) -> Csr {
-    let lists = knn_lists(points, k);
-    let mut el = EdgeList::with_capacity(points.len(), points.len() * k);
-    for (u, nbrs) in lists.iter().enumerate() {
-        for &v in nbrs {
-            el.add(u as u32, v);
-        }
-    }
-    Csr::from_edge_list(el)
+    Csr::from_directed(points.len(), &[knn_directed(points, k)], None)
 }
 
 #[cfg(test)]

@@ -3,24 +3,31 @@
 //! Each `build_*_on_order` runs the sharded builder over the spatially
 //! sorted copy held by a [`PointOrder`] — grid buckets, ghost gathers and
 //! per-shard resident lists then walk the point SoA near-sequentially —
-//! and remaps the resulting graph back to original deployment ids at the
-//! emission boundary ([`wsn_graph::perm::remap_csr`]). The `build_*_ordered`
-//! wrappers construct the Morton order themselves.
+//! and emits the graph in original deployment ids: the radius topologies
+//! remap their rank-space graph ([`wsn_graph::perm::remap_csr`]); k-NN
+//! symmetrises its rank-space lists straight into original-id slots
+//! ([`Csr::from_directed`]). The `build_*_ordered` wrappers construct the
+//! Morton order themselves.
 //!
-//! ## Why the remapped graph is the deployment-order graph
+//! ## Why the emitted graph is the deployment-order graph
 //!
 //! The reordered copy carries bit-identical coordinates, and every
 //! predicate these builders evaluate is symmetric in its operands
 //! (`dist_sq`, `midpoint`) or canonicalised through `min`/`max`, so the
-//! *edge set* a builder derives is a pure function of the point multiset —
-//! ids only name the endpoints. Remapping endpoint names through
-//! `to_orig` and re-canonicalising via `Csr::from_canonical_edges`'s
-//! per-node sort therefore reproduces the deployment-order graph
-//! byte-for-byte. Selection tie-breaks (k-NN, Yao cones, HNG uplinks) do
-//! key on ids as a *last* resort, but only after exact distance equality —
-//! a measure-zero event for the continuous deployments this pipeline
-//! generates; the permutation-invariance suite and the golden matrix pin
-//! the equality in practice. HNG level draws are seeded per *original* id
+//! *edge set* a builder derives from distances alone is a pure function of
+//! the point multiset — ids only name the endpoints. Relabelling endpoint
+//! names through `to_orig` and re-canonicalising (per-node sort) therefore
+//! reproduces the deployment-order graph byte-for-byte.
+//!
+//! Selections that break exact distance ties on ids must break them on
+//! *original* ids to stay layout-independent. k-NN does: its selection
+//! kernel keys ties on `to_orig[rank]` ([`wsn_spatial::GridIndex::knn_into`]),
+//! in shard-local queries and straggler fallbacks alike, so lattices and
+//! co-located duplicates select exactly what the deployment-order builder
+//! selects. The key is read only when two squared distances are equal.
+//! Yao cones and HNG uplinks still key such ties on rank ids; on inputs
+//! with exact ties their ordered graphs can differ from the deployment-
+//! order ones. HNG level draws are seeded per *original* id
 //! ([`crate::hng::hng_levels`]) and gathered into rank space, so the level
 //! structure itself is layout-independent by construction.
 
@@ -30,8 +37,8 @@ use wsn_pointproc::{PointOrder, PointSet};
 
 use crate::hng::{build_hng_sharded_on_levels, hng_levels, HngParams};
 use crate::sharded::{
-    build_gabriel_sharded, build_knn_sharded, build_rng_sharded, build_udg_sharded,
-    build_yao_sharded,
+    build_gabriel_sharded, build_rng_sharded, build_udg_sharded, build_yao_sharded,
+    knn_sharded_parts,
 };
 
 /// UDG over a prepared order — edge-identical to [`crate::build_udg`].
@@ -74,12 +81,13 @@ pub fn build_yao_on_order(
 }
 
 /// Symmetrised k-NN over a prepared order — edge-identical to
-/// [`crate::build_knn`].
+/// [`crate::build_knn`]. Exact-distance ties are keyed on original ids,
+/// and the rank-space lists are symmetrised straight into original-id
+/// slots ([`Csr::from_directed`]) with no rank-space graph in between.
 pub fn build_knn_on_order(order: &PointOrder, k: usize, tiles_per_shard: usize) -> Csr {
-    remap_csr(
-        &build_knn_sharded(order.points(), k, tiles_per_shard),
-        order.to_orig(),
-    )
+    let to_orig = order.to_orig();
+    let parts = knn_sharded_parts(order.points(), k, tiles_per_shard, Some(to_orig));
+    Csr::from_directed(order.len(), &parts, Some(to_orig))
 }
 
 /// HNG over a prepared order — edge-identical to [`crate::build_hng`].

@@ -17,6 +17,14 @@
 //! importantly, *edge-identical to the monolithic builders* in this crate
 //! (`tests/sharded_vs_monolithic.rs` pins all seven topology kinds).
 //!
+//! k-NN fans out one level finer. At large k its halo is wide enough that
+//! a whole deployment is often a single shard, and one shard per worker
+//! would leave the pool idle. So the shards are gathered and their local
+//! indexes built in parallel first, and then the queries fan out over
+//! (shard, block of owned nodes) work items, collected in shard-then-block
+//! order. The directed lists go straight to [`Csr::from_directed`], which
+//! symmetrises them (through the original-id map on the ordered path).
+//!
 //! ## Why the stitched CSR is exactly the monolithic one
 //!
 //! * Every point has exactly one owner shard, and `ball(p, halo)` is
@@ -25,8 +33,8 @@
 //!   look farther than the halo: UDG/Yao query `radius`; Gabriel blockers
 //!   and RNG witnesses lie within `radius` of the nearer endpoint).
 //! * Local ids are assigned in ascending global-id order, so every id
-//!   tie-break (k-NN heap keys, Yao per-cone minima) orders candidates the
-//!   same way.
+//!   tie-break (k-NN selection keys, Yao per-cone minima) orders candidates
+//!   the same way.
 //! * Predicates are evaluated with the same operand order as the monolithic
 //!   code (smaller global id first), so float results are identical — not
 //!   merely equivalent.
@@ -35,11 +43,15 @@
 //!   back to the shared global index otherwise (exact in both cases since
 //!   k-NN results are index-independent).
 
+use std::ops::Range;
+
 use rayon::prelude::*;
 use wsn_geom::{Aabb, Point, ShardGrid};
-use wsn_graph::{Csr, EdgeList};
+use wsn_graph::{Csr, DirectedLists, EdgeList};
 use wsn_pointproc::PointSet;
 use wsn_spatial::{GridIndex, SubIndex};
+
+use crate::knn::{knn_cell_size, lists_by_source};
 
 /// Pass as `tiles_per_shard` for an explicit single-shard (whole-window)
 /// plan — useful as the degenerate case of differential tests.
@@ -297,62 +309,87 @@ pub(crate) fn interior_margin(p: Point, b: &Aabb) -> f64 {
         .min(b.max.y - p.y)
 }
 
-/// One shard's directed k-NN lists in global id space, plus whether any
-/// owned node *straggled* (its k-th neighbour fell outside the node's
-/// interior margin of the shard's `padded` extent, forcing the exact
-/// `fallback` query — `fallback(p, gu)` must return `gu`'s k nearest over
-/// the whole point population, in global ids).
+/// A shard prepared for k-NN queries: its local index, its owned local
+/// ids, and — on the Morton-ordered path — the tie key of every local id.
+pub(crate) struct KnnShard<'s> {
+    shard: &'s Shard,
+    index: GridIndex<'s>,
+    pub(crate) owned: Vec<u32>,
+    keys: Option<Vec<u32>>,
+}
+
+impl<'s> KnnShard<'s> {
+    /// `tie` maps global ids to tie keys; `None` keys ties on the global
+    /// ids themselves, which the local ids already order (the gather is
+    /// monotone).
+    pub(crate) fn new(shard: &'s Shard, k: usize, tie: Option<&[u32]>) -> Self {
+        let cell = if shard.pts.is_empty() {
+            1.0
+        } else {
+            knn_cell_size(&shard.pts, k)
+        };
+        KnnShard {
+            shard,
+            index: GridIndex::build(&shard.pts, cell),
+            owned: (0..shard.pts.len() as u32)
+                .filter(|&u| shard.owned[u as usize])
+                .collect(),
+            keys: tie.map(|t| shard.ids.iter().map(|&g| t[g as usize]).collect()),
+        }
+    }
+}
+
+/// The directed k-NN lists, in global id space, of the owned nodes
+/// `ks.owned[nodes]`, plus whether any of them *straggled* (its k-th
+/// neighbour fell outside the node's interior margin of the shard's
+/// `padded` extent, forcing the exact `fallback` query — `fallback(p, gu)`
+/// must return `gu`'s k nearest over the whole point population, in global
+/// ids, under the same tie key).
 ///
 /// The certificate is per node, not per shard: a node deep inside the
 /// padded box tolerates a k-th distance up to its own distance from the
 /// box boundary ([`interior_margin`]), which is never smaller than the
 /// halo for owned nodes and unbounded toward window edges — so group-local
-/// repairs certify far more nodes than the old whole-halo test did,
-/// without ever certifying a node whose list could depend on points beyond
-/// the gathered box.
+/// repairs certify far more nodes than a whole-halo test would, without
+/// ever certifying a node whose list could depend on points beyond the
+/// gathered box.
 ///
 /// The straggler flag matters to incremental maintenance: a straggler's
 /// list depends on points beyond the shard's padded extent, so its shard
 /// can never be trusted as "clean" under churn.
 pub(crate) fn derive_knn<F>(
-    shard: &Shard,
+    ks: &KnnShard,
     k: usize,
     padded: &Aabb,
     covers_all: bool,
+    nodes: Range<usize>,
     fallback: F,
-) -> (Vec<(u32, Vec<u32>)>, bool)
+) -> (DirectedLists, bool)
 where
     F: Fn(Point, u32) -> Vec<u32>,
 {
-    let mut out = Vec::new();
+    let shard = ks.shard;
+    let mut out = DirectedLists::new();
     let mut straggled = false;
-    if shard.pts.is_empty() {
-        return (out, straggled);
-    }
-    let index = GridIndex::build(&shard.pts, knn_cell_size(&shard.pts, k));
-    for (u, p) in shard.pts.iter_enumerated() {
-        if !shard.owned[u as usize] {
-            continue;
-        }
+    let mut buf = Vec::new();
+    for &u in &ks.owned[nodes] {
+        let p = shard.pts.get(u);
         let gu = shard.ids[u as usize];
-        let local = index.knn(p, k, Some(u));
+        ks.index
+            .knn_into(p, k, Some(u), ks.keys.as_deref(), &mut buf);
         let certain = covers_all
-            || (local.len() == k
-                && local
+            || (buf.len() == k
+                && buf
                     .last()
-                    .is_none_or(|&(_, d)| d <= interior_margin(p, padded)));
-        let list: Vec<u32> = if certain {
-            local
-                .into_iter()
-                .map(|(v, _)| shard.ids[v as usize])
-                .collect()
+                    .is_none_or(|&(d2, _)| d2.sqrt() <= interior_margin(p, padded)));
+        if certain {
+            out.push(gu, buf.iter().map(|&(_, v)| shard.ids[v as usize]));
         } else {
             // Halo miss: resolve exactly against the full population
             // (k-NN results are index-independent).
             straggled = true;
-            fallback(p, gu)
-        };
-        out.push((gu, list));
+            out.push(gu, fallback(p, gu));
+        }
     }
     (out, straggled)
 }
@@ -467,17 +504,6 @@ pub fn build_yao_sharded(
     Csr::from_edge_list(el)
 }
 
-/// Grid cell size for k-NN searches (same heuristic as the monolithic
-/// builder: roughly the radius expected to contain k points).
-pub(crate) fn knn_cell_size(points: &PointSet, k: usize) -> f64 {
-    let bb = points.bounding_box().unwrap();
-    let area = bb.area().max(1e-9);
-    let density = points.len() as f64 / area;
-    ((k as f64 + 1.0) / (std::f64::consts::PI * density.max(1e-9)))
-        .sqrt()
-        .clamp(1e-3, bb.width().max(bb.height()).max(1e-3))
-}
-
 /// The halo radius the sharded k-NN builder pads shards with (3× the
 /// expected k-point radius at the set's mean density) — also the tile side
 /// of its [`ShardGrid`] plan. Exposed so external tooling (the pipeline
@@ -486,57 +512,80 @@ pub fn knn_halo(points: &PointSet, k: usize) -> f64 {
     3.0 * knn_cell_size(points, k)
 }
 
-/// The sharded directed k-NN lists — identical to
-/// [`crate::knn::knn_lists`].
+/// Owned nodes per (shard, node-block) work item of the k-NN fan-out.
+const KNN_BLOCK: usize = 256;
+
+/// The cold sharded k-NN pass: every owned node's directed list, in the
+/// input's id space, as one [`DirectedLists`] per (shard, node-block) work
+/// item in shard-then-block order. `tie` keys exact-distance ties (see
+/// [`GridIndex::knn_into`]); `None` keys them on the input ids.
 ///
 /// The halo is sized so that a node's k nearest almost surely fit inside
 /// it (3× the expected k-point radius); each node *verifies* that bound
-/// (`k` results, all within the halo) and the rare stragglers fall back to
-/// an exact query on the shared global index.
-pub fn knn_lists_sharded(points: &PointSet, k: usize, tiles_per_shard: usize) -> Vec<Vec<u32>> {
+/// (`k` results, all within its interior margin) and the rare stragglers
+/// fall back to an exact query on the shared global index.
+pub(crate) fn knn_sharded_parts(
+    points: &PointSet,
+    k: usize,
+    tiles_per_shard: usize,
+    tie: Option<&[u32]>,
+) -> Vec<DirectedLists> {
     if points.is_empty() || k == 0 {
-        return vec![Vec::new(); points.len()];
+        return Vec::new();
     }
     let halo = knn_halo(points, k);
     let gather = GridIndex::build(points, knn_cell_size(points, k));
     let grid = plan(points, halo, tiles_per_shard);
-    let bbox = points.bounding_box().unwrap();
-    let per_shard: Vec<Vec<(u32, Vec<u32>)>> = (0..grid.shard_count())
+    let bbox = points.bounding_box().expect("non-empty set");
+    let shards: Vec<Shard> = (0..grid.shard_count())
         .into_par_iter()
-        .map(|s| {
-            let shard = Shard::gather(points, &gather, &grid, s, halo);
+        .map(|s| Shard::gather(points, &gather, &grid, s, halo))
+        .collect();
+    let prepared: Vec<KnnShard> = shards
+        .iter()
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .map(|shard| KnnShard::new(shard, k, tie))
+        .collect();
+    let items: Vec<(usize, Range<usize>)> = prepared
+        .iter()
+        .enumerate()
+        .flat_map(|(s, ks)| {
+            let owned = ks.owned.len();
+            (0..owned)
+                .step_by(KNN_BLOCK)
+                .map(move |a| (s, a..(a + KNN_BLOCK).min(owned)))
+        })
+        .collect();
+    items
+        .into_par_iter()
+        .map(|(s, nodes)| {
             let padded = grid.padded(s, halo);
             let covers_all = padded.contains_aabb(&bbox);
-            derive_knn(&shard, k, &padded, covers_all, |p, gu| {
-                gather
-                    .knn(p, k, Some(gu))
-                    .into_iter()
-                    .map(|(v, _)| v)
-                    .collect()
+            derive_knn(&prepared[s], k, &padded, covers_all, nodes, |p, gu| {
+                let mut buf = Vec::new();
+                gather.knn_into(p, k, Some(gu), tie, &mut buf);
+                buf.into_iter().map(|(_, v)| v).collect()
             })
             .0
         })
-        .collect();
-    let mut lists = vec![Vec::new(); points.len()];
-    for chunk in per_shard {
-        for (gu, list) in chunk {
-            lists[gu as usize] = list;
-        }
-    }
-    lists
+        .collect()
+}
+
+/// The sharded directed k-NN lists — identical to
+/// [`crate::knn::knn_lists`].
+pub fn knn_lists_sharded(points: &PointSet, k: usize, tiles_per_shard: usize) -> Vec<Vec<u32>> {
+    lists_by_source(
+        points.len(),
+        &knn_sharded_parts(points, k, tiles_per_shard, None),
+    )
 }
 
 /// Sharded undirected `NN(points, k)` — edge-identical to
 /// [`crate::knn::build_knn`].
 pub fn build_knn_sharded(points: &PointSet, k: usize, tiles_per_shard: usize) -> Csr {
-    let lists = knn_lists_sharded(points, k, tiles_per_shard);
-    let mut el = EdgeList::with_capacity(points.len(), points.len() * k);
-    for (u, nbrs) in lists.iter().enumerate() {
-        for &v in nbrs {
-            el.add(u as u32, v);
-        }
-    }
-    Csr::from_edge_list(el)
+    let parts = knn_sharded_parts(points, k, tiles_per_shard, None);
+    Csr::from_directed(points.len(), &parts, None)
 }
 
 #[cfg(test)]

@@ -18,10 +18,10 @@ pub fn in_disk(points: &PointSet, center: Point, radius: f64) -> Vec<u32> {
 /// `(distance, id)`.
 ///
 /// Selection is keyed on *squared* distances, exactly like the grid
-/// index's heap: `sqrt` maps distinct squared distances onto the same
-/// float (e.g. `1.0` and `1.0 + 2⁻⁵²` both round to `1.0`), and an oracle
-/// ranking on the rounded value would tie-break by id where the index
-/// correctly prefers the strictly nearer point.
+/// index's selection kernel: `sqrt` maps distinct squared distances onto
+/// the same float (e.g. `1.0` and `1.0 + 2⁻⁵²` both round to `1.0`), and
+/// an oracle ranking on the rounded value would tie-break by id where the
+/// index correctly prefers the strictly nearer point.
 pub fn knn(points: &PointSet, query: Point, k: usize, skip: Option<u32>) -> Vec<(u32, f64)> {
     let mut all: Vec<(u32, f64)> = points
         .iter_enumerated()

@@ -1,6 +1,6 @@
 //! The grid-bucket index.
 
-use wsn_geom::{Aabb, OrdF64, Point};
+use wsn_geom::{Aabb, Point};
 use wsn_pointproc::PointSet;
 
 /// A uniform-grid spatial index borrowing its point set.
@@ -164,8 +164,18 @@ impl<'p> GridIndex<'p> {
 
     #[inline]
     fn cell_ids(&self, i: usize, j: usize) -> &[u32] {
-        let c = j * self.cols + i;
-        let (s, e) = (self.cell_start[c] as usize, self.cell_start[c + 1] as usize);
+        self.row_ids(i, i, j)
+    }
+
+    /// Ids of the cells `i0..=i1` of row `j` — one contiguous slice of the
+    /// row-major bucket layout.
+    #[inline]
+    fn row_ids(&self, i0: usize, i1: usize, j: usize) -> &[u32] {
+        let c = j * self.cols;
+        let (s, e) = (
+            self.cell_start[c + i0] as usize,
+            self.cell_start[c + i1 + 1] as usize,
+        );
         &self.ids[s..e]
     }
 
@@ -264,68 +274,98 @@ impl<'p> GridIndex<'p> {
     /// query point's own id when it belongs to the set). Returns
     /// `(id, distance)` pairs sorted by increasing distance; fewer than `k`
     /// when the set is small. Ties are broken deterministically by
-    /// `(distance, id)`.
+    /// `(distance, id)`. Allocates per call — hot loops use
+    /// [`Self::knn_into`] with a reused buffer instead.
     pub fn knn(&self, query: Point, k: usize, skip: Option<u32>) -> Vec<(u32, f64)> {
-        if k == 0 || self.points.is_empty() {
-            return Vec::new();
-        }
-        // Max-heap of the best k so far, keyed by (dist_sq, id).
-        let mut heap: std::collections::BinaryHeap<(OrdF64, u32)> =
-            std::collections::BinaryHeap::with_capacity(k + 1);
-        let (qi, qj) = self.cell_coords(query);
-        let max_ring = self.cols.max(self.rows);
+        let mut buf = Vec::new();
+        self.knn_into(query, k, skip, None, &mut buf);
+        buf.into_iter().map(|(d2, id)| (id, d2.sqrt())).collect()
+    }
 
-        for ring in 0..=max_ring {
-            // Smallest possible distance from `query` to a cell `ring` cells
-            // away (Chebyshev): (ring − 1) · cell, because the query may sit
-            // anywhere within its own cell.
-            if heap.len() == k {
-                let kth = heap.peek().unwrap().0 .0.sqrt();
-                if ring >= 1 && (ring as f64 - 1.0) * self.cell > kth {
-                    break;
+    /// The selection kernel behind every k-NN query: leaves the `k` nearest
+    /// neighbours of `query` (excluding `skip`) in `buf` as `(d², id)`
+    /// pairs, sorted by `(d², key(id))`, where `key(id)` is `tie[id]` when
+    /// a tie map is given and `id` otherwise. `buf` is cleared first;
+    /// reusing it across queries makes the search allocation-free.
+    ///
+    /// Cells are gathered ring by ring around the query's cell into `buf`,
+    /// dropping candidates farther than the current k-th squared distance.
+    /// Once `k` candidates are in, `select_nth_unstable_by` on
+    /// `(d², key)` moves the best `k` to the front and the rest are cut;
+    /// the k-th distance then bounds the search — ring `r` is skipped (and
+    /// the search ends) when `(r − 1) · cell` exceeds it, because the query
+    /// may sit anywhere within its own cell. Only the final `k` are sorted.
+    ///
+    /// Selection is keyed on squared distances: distinct `d²` can collapse
+    /// to the same `sqrt`, and ordering on the rounded value would
+    /// tie-break by key where the true distances differ. The key is looked
+    /// up only when two `d²` are exactly equal, so inputs without exact
+    /// ties never read the map. A tie map lets a caller whose ids are a
+    /// relabelling of some canonical id space (the Morton-ordered
+    /// builders) break exact ties in that canonical space; it must be
+    /// injective over the indexed ids.
+    pub fn knn_into(
+        &self,
+        query: Point,
+        k: usize,
+        skip: Option<u32>,
+        tie: Option<&[u32]>,
+        buf: &mut Vec<(f64, u32)>,
+    ) {
+        buf.clear();
+        if k == 0 || self.points.is_empty() {
+            return;
+        }
+        let key = |id: u32| tie.map_or(id, |t| t[id as usize]);
+        let order = |a: &(f64, u32), b: &(f64, u32)| {
+            a.0.total_cmp(&b.0).then_with(|| key(a.1).cmp(&key(b.1)))
+        };
+        // Squared distance of the k-th candidate once k are in; candidates
+        // beyond it can never enter the answer.
+        let mut kth_d2 = f64::INFINITY;
+        let gather = |ids: &[u32], kth_d2: f64, buf: &mut Vec<(f64, u32)>| {
+            for &id in ids {
+                let d2 = self.points.get(id).dist_sq(query);
+                if d2 <= kth_d2 && Some(id) != skip {
+                    buf.push((d2, id));
                 }
             }
-            let mut visit = |i: isize, j: isize| {
-                if i < 0 || j < 0 || i as usize >= self.cols || j as usize >= self.rows {
-                    return;
-                }
-                for &id in self.cell_ids(i as usize, j as usize) {
-                    if Some(id) == skip {
-                        continue;
-                    }
-                    let d2 = self.points.get(id).dist_sq(query);
-                    let key = (OrdF64(d2), id);
-                    if heap.len() < k {
-                        heap.push(key);
-                    } else if key < *heap.peek().unwrap() {
-                        heap.pop();
-                        heap.push(key);
-                    }
-                }
-            };
-            let (ci, cj) = (qi as isize, qj as isize);
+        };
+        let (qi, qj) = self.cell_coords(query);
+        let (ci, cj) = (qi as isize, qj as isize);
+        let (cols, rows) = (self.cols as isize, self.rows as isize);
+        let max_ring = self.cols.max(self.rows);
+        for ring in 0..=max_ring {
+            if ring >= 1 && (ring as f64 - 1.0) * self.cell > kth_d2.sqrt() {
+                break;
+            }
             let r = ring as isize;
-            if r == 0 {
-                visit(ci, cj);
-            } else {
-                for d in -r..=r {
-                    visit(ci + d, cj - r);
-                    visit(ci + d, cj + r);
+            // The ring's top and bottom rows are contiguous cell runs in
+            // the row-major bucket layout: one slice each.
+            let (i0, i1) = ((ci - r).max(0) as usize, (ci + r).min(cols - 1) as usize);
+            let edge_rows: &[isize] = if r == 0 { &[cj] } else { &[cj - r, cj + r] };
+            for &j in edge_rows.iter().filter(|j| (0..rows).contains(*j)) {
+                gather(self.row_ids(i0, i1, j as usize), kth_d2, buf);
+            }
+            // Its left and right columns, corners excluded.
+            if r > 0 {
+                let (j0, j1) = ((cj - r + 1).max(0), (cj + r - 1).min(rows - 1));
+                for i in [ci - r, ci + r]
+                    .into_iter()
+                    .filter(|i| (0..cols).contains(i))
+                {
+                    for j in j0..=j1 {
+                        gather(self.cell_ids(i as usize, j as usize), kth_d2, buf);
+                    }
                 }
-                for d in (-r + 1)..r {
-                    visit(ci - r, cj + d);
-                    visit(ci + r, cj + d);
-                }
+            }
+            if buf.len() >= k {
+                buf.select_nth_unstable_by(k - 1, order);
+                buf.truncate(k);
+                kth_d2 = buf[k - 1].0;
             }
         }
-        // Order on (d², id) — the same key as the heap — *before* taking
-        // square roots: distinct squared distances can collapse to the same
-        // sqrt, and ordering on the rounded value would tie-break by id
-        // where the true distances differ.
-        let mut out: Vec<(u32, f64)> = heap.into_iter().map(|(d2, id)| (id, d2.0)).collect();
-        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        out.iter_mut().for_each(|e| e.1 = e.1.sqrt());
-        out
+        buf.sort_unstable_by(order);
     }
 
     /// Nearest neighbour (excluding `skip`), if any.
@@ -639,8 +679,64 @@ mod tests {
         }
     }
 
+    #[test]
+    fn knn_tie_map_breaks_exact_ties_in_the_mapped_id_space() {
+        // A 5×5 lattice stored in reverse: local id `i` is canonical id
+        // `24 − i`. With the map as tie key, the answer is the canonical
+        // answer relabelled — ties resolve as if the ids were canonical.
+        let canonical: PointSet = (0..25)
+            .map(|i| Point::new((i % 5) as f64, (i / 5) as f64))
+            .collect();
+        let reversed: PointSet = (0..25).rev().map(|i| canonical.get(i)).collect();
+        let to_canonical: Vec<u32> = (0..25).rev().collect();
+        let idx = GridIndex::build(&reversed, 1.0);
+        let mut buf = Vec::new();
+        for local in 0..25u32 {
+            let q = reversed.get(local);
+            let c = to_canonical[local as usize];
+            for k in [1usize, 3, 4, 8, 24] {
+                idx.knn_into(q, k, Some(local), Some(&to_canonical), &mut buf);
+                let got: Vec<u32> = buf.iter().map(|&(_, v)| to_canonical[v as usize]).collect();
+                let want: Vec<u32> = bruteforce::knn(&canonical, q, k, Some(c))
+                    .iter()
+                    .map(|&(i, _)| i)
+                    .collect();
+                assert_eq!(got, want, "query {c}, k {k}");
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Integer-lattice coordinates (with repeats): exact distance ties
+        /// and co-located points everywhere, up to the NN-SENS k.
+        #[test]
+        fn prop_knn_equals_bruteforce_on_integer_lattices(
+            seed in 0u64..1000,
+            n in 1usize..600,
+            side in 1u32..30,
+            k in 1usize..=400,
+            cell in 0.3f64..6.0,
+        ) {
+            let mut rng = rng_from_seed(seed);
+            let pts: PointSet = (0..n)
+                .map(|_| {
+                    Point::new(
+                        rng.random_range(0..side) as f64,
+                        rng.random_range(0..side) as f64,
+                    )
+                })
+                .collect();
+            let q_id = rng.random_range(0..n) as u32;
+            let q = pts.get(q_id);
+            let idx = GridIndex::build(&pts, cell);
+            for skip in [Some(q_id), None] {
+                let fast = idx.knn(q, k, skip);
+                let slow = bruteforce::knn(&pts, q, k, skip);
+                prop_assert_eq!(fast, slow);
+            }
+        }
 
         #[test]
         fn prop_disk_query_equals_bruteforce(

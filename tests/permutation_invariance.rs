@@ -23,14 +23,17 @@ use wsn::core::params::{NnSensParams, UdgSensParams};
 use wsn::core::tilegrid::TileGrid;
 use wsn::core::udg::{build_udg_sens, build_udg_sens_ordered};
 use wsn::geom::hash::derive_seed2;
-use wsn::geom::Aabb;
+use wsn::geom::{Aabb, Point, ShardGrid};
 use wsn::graph::{fingerprint, Csr};
 use wsn::pointproc::{rng_from_seed, sample_poisson_window, PointOrder, PointSet};
 use wsn::rgg::ordered::{
     build_gabriel_on_order, build_hng_on_order, build_knn_on_order, build_rng_on_order,
     build_udg_on_order, build_yao_on_order,
 };
-use wsn::rgg::{build_gabriel, build_hng, build_knn, build_rng, build_udg, build_yao, HngParams};
+use wsn::rgg::{
+    build_gabriel, build_hng, build_knn, build_knn_ordered, build_knn_sharded, build_rng,
+    build_udg, build_yao, knn_halo, knn_lists, knn_lists_sharded, HngParams, WHOLE_WINDOW,
+};
 
 /// `RAYON_NUM_THREADS` is process-global; serialise every test body.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -214,4 +217,121 @@ fn identity_layout_is_structurally_transparent() {
     let order = PointOrder::identity(&pts);
     assert_eq!(build_udg_on_order(&order, 1.0, 4), build_udg(&pts, 1.0));
     assert_eq!(build_knn_on_order(&order, 8, 4), build_knn(&pts, 8));
+}
+
+/// A `side × side` unit lattice — every point has four neighbours at
+/// exactly the same distance, so k-NN selection is decided by tie-breaks.
+fn lattice(side: usize) -> PointSet {
+    (0..side * side)
+        .map(|i| Point::new((i % side) as f64, (i / side) as f64))
+        .collect()
+}
+
+/// The geometries on which exact distance ties decide the k-NN answer.
+fn tie_geometries() -> Vec<(&'static str, PointSet)> {
+    let single = lattice(60);
+    // Every lattice point twice: co-located pairs tie at distance zero.
+    let doubled: PointSet = single.iter().chain(single.iter()).collect();
+    // A diagonal line: both neighbours at each step tie, all the way out.
+    let line: PointSet = (0..1200).map(|i| Point::new(i as f64, i as f64)).collect();
+    // A sparse lattice (spacing 12) over a dense one (spacing 0.5) in its
+    // corner: the dense corner shrinks the mean-density halo below the
+    // sparse spacing, so at small k sparse nodes straggle and their
+    // four-way ties are settled by the fallback query.
+    let clustered: PointSet = (0..441)
+        .map(|i| Point::new((i % 21) as f64 * 12.0, (i / 21) as f64 * 12.0))
+        .chain((0..3600).map(|i| Point::new((i % 60) as f64 * 0.5, (i / 60) as f64 * 0.5)))
+        .collect();
+    vec![
+        ("lattice", single),
+        ("doubled lattice", doubled),
+        ("line", line),
+        ("clustered lattice", clustered),
+    ]
+}
+
+#[test]
+fn knn_builders_agree_on_exact_tie_geometries() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for (name, pts) in tie_geometries() {
+        for k in [1usize, 4, 8, 400] {
+            let reference = build_knn(&pts, k);
+            for tiles in [1usize, 4, 16, WHOLE_WINDOW] {
+                let sharded = build_knn_sharded(&pts, k, tiles);
+                assert_eq!(sharded, reference, "sharded {name}, k {k}, tiles {tiles}");
+                let ordered = build_knn_ordered(&pts, k, tiles);
+                assert_eq!(ordered, reference, "ordered {name}, k {k}, tiles {tiles}");
+            }
+        }
+    }
+}
+
+/// A dense cluster in one corner of a sparse window: the window-wide mean
+/// density sizes the k-NN halo, so many sparse nodes' k-th neighbours lie
+/// outside their shard's padded box.
+fn clustered_window() -> PointSet {
+    let mut rng = rng_from_seed(0x57A6);
+    let sparse = sample_poisson_window(&mut rng, 0.0125, &Aabb::square(200.0));
+    let corner = Aabb::from_coords(180.0, 180.0, 200.0, 200.0);
+    let dense = sample_poisson_window(&mut rng, 12.5, &corner);
+    sparse.iter().chain(dense.iter()).collect()
+}
+
+#[test]
+fn knn_fan_out_is_byte_identical_at_any_thread_count() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let k = 400;
+    let one_shard = sample_poisson_window(&mut rng_from_seed(0x0E5A), 1.0, &Aabb::square(60.0));
+    let multi_shard = clustered_window();
+
+    // The multi-shard plan really forces stragglers: some node's owner
+    // shard's padded box misses part of the window, and its k-th
+    // neighbour lies farther than its margin inside that box.
+    let halo = knn_halo(&multi_shard, k);
+    let bbox = multi_shard.bounding_box().unwrap();
+    let grid = ShardGrid::new(&bbox, halo, 1);
+    assert!(grid.shard_count() > 1);
+    let lists = knn_lists(&multi_shard, k);
+    let stragglers = multi_shard
+        .iter_enumerated()
+        .filter(|&(u, p)| {
+            let b = grid.padded(grid.owner_of(p), halo);
+            if b.contains_aabb(&bbox) {
+                return false;
+            }
+            let margin = (p.x - b.min.x)
+                .min(b.max.x - p.x)
+                .min(p.y - b.min.y)
+                .min(b.max.y - p.y);
+            let kth = multi_shard.get(*lists[u as usize].last().unwrap());
+            p.dist(kth) > margin
+        })
+        .count();
+    assert!(stragglers > 0, "the clustered window must force stragglers");
+
+    for (name, pts, tiles) in [
+        ("one-shard", &one_shard, WHOLE_WINDOW),
+        ("multi-shard", &multi_shard, 1),
+    ] {
+        let order = PointOrder::morton(pts);
+        let mut first: Option<(Vec<Vec<u32>>, Csr)> = None;
+        for threads in ["1", "2", "4", "8"] {
+            std::env::set_var("RAYON_NUM_THREADS", threads);
+            let got = (
+                knn_lists_sharded(pts, k, tiles),
+                build_knn_on_order(&order, k, tiles),
+            );
+            match &first {
+                None => first = Some(got),
+                Some(f) => {
+                    assert_eq!(got.0, f.0, "{name} lists at {threads} thread(s)");
+                    assert_eq!(got.1, f.1, "{name} graph at {threads} thread(s)");
+                }
+            }
+        }
+        std::env::remove_var("RAYON_NUM_THREADS");
+        let (lists, graph) = first.unwrap();
+        assert_eq!(lists, knn_lists(pts, k), "{name} lists vs monolithic");
+        assert_eq!(graph, build_knn(pts, k), "{name} graph vs monolithic");
+    }
 }
