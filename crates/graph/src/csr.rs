@@ -35,6 +35,12 @@ impl DirectedLists {
             .zip(starts.zip(&self.ends))
             .map(|(&u, (s, &e))| (u, &self.targets[s..e]))
     }
+
+    /// Every `(source, target)` pair, in push order.
+    pub fn pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.iter()
+            .flat_map(|(u, list)| list.iter().map(move |&v| (u, v)))
+    }
 }
 
 /// Slots per block of the per-node sort/dedup fan-out in

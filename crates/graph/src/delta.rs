@@ -1,14 +1,13 @@
 //! Incremental CSR maintenance primitives.
 //!
-//! The construction pipeline shards a deployment and emits each canonical
-//! edge exactly once, from the shard owning its smaller endpoint. This
-//! module adds the id-space machinery that turns those per-shard emissions
-//! into an *incrementally maintainable* graph:
+//! The construction pipeline shards a deployment and emits every edge from
+//! an owned node of some shard. The maintained graph itself — per-shard
+//! chunks whose entries count the emissions behind them — is
+//! [`crate::ChunkedCsr`]; this module holds the id-space machinery around
+//! it:
 //!
-//! * [`ShardedEdgeStore`] — the per-shard edge cache. Replacing one shard's
-//!   slice and re-splicing is the delta operation behind
-//!   `wsn_rgg::incremental`: shards untouched by churn keep their cached
-//!   emissions byte-for-byte.
+//! * [`IdRemap`] — the dense local id space a dirty-extent repair derives
+//!   in, over a sparse ascending subset of universe ids.
 //! * [`deactivate_vertices`] — pure vertex deactivation: drop every edge
 //!   incident to a dead node without re-deriving anything (exact for
 //!   topologies like the UDG whose edges never *appear* when a node dies).
@@ -20,7 +19,6 @@
 //!   cheap cross-run witness that two maintenance strategies walked through
 //!   identical topologies.
 
-use crate::builder::EdgeList;
 use crate::csr::Csr;
 use crate::view::GraphView;
 use std::fmt;
@@ -69,92 +67,6 @@ pub fn check_monotone(ids: &[u32]) -> Result<(), MonotonicityError> {
         }
     }
     Ok(())
-}
-
-/// Per-shard canonical edge cache with splice-to-CSR.
-///
-/// Edges are stored exactly as the shard builders emit them (canonical
-/// `(min, max)` pairs; the k-NN and Yao builders may emit one edge from
-/// both endpoints — possibly in different shards — so [`Self::to_csr`]
-/// offers both the duplicate-free fast path and the deduplicating one).
-#[derive(Clone, Debug)]
-pub struct ShardedEdgeStore {
-    n: usize,
-    per_shard: Vec<Vec<(u32, u32)>>,
-}
-
-impl ShardedEdgeStore {
-    /// An empty store over `shards` shards of a graph on `n` nodes.
-    pub fn new(n: usize, shards: usize) -> Self {
-        ShardedEdgeStore {
-            n,
-            per_shard: vec![Vec::new(); shards],
-        }
-    }
-
-    /// Number of nodes in the universe id space.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Number of shard slots.
-    #[inline]
-    pub fn shard_count(&self) -> usize {
-        self.per_shard.len()
-    }
-
-    /// The cached emissions of shard `s`.
-    #[inline]
-    pub fn shard(&self, s: usize) -> &[(u32, u32)] {
-        &self.per_shard[s]
-    }
-
-    /// Replace shard `s`'s cached emissions (the re-derivation path).
-    pub fn replace(&mut self, s: usize, edges: Vec<(u32, u32)>) {
-        self.per_shard[s] = edges;
-    }
-
-    /// Drop cached edges of shard `s` that fail `keep` (the vertex
-    /// deactivation fast path: no geometry re-derivation, just a filter).
-    pub fn retain<F: FnMut(u32, u32) -> bool>(&mut self, s: usize, mut keep: F) {
-        self.per_shard[s].retain(|&(u, v)| keep(u, v));
-    }
-
-    /// Total cached edge emissions (duplicates counted).
-    pub fn emission_count(&self) -> usize {
-        self.per_shard.iter().map(Vec::len).sum()
-    }
-
-    /// Iterate every cached emission in shard order (duplicates included —
-    /// the chunked-CSR build folds them into multiplicities).
-    pub fn emissions(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.per_shard.iter().flat_map(|s| s.iter().copied())
-    }
-
-    /// Splice every shard's cache into one CSR.
-    ///
-    /// `dedup` selects the symmetrising edge-list path (needed when a
-    /// topology emits an edge from both endpoints, as k-NN and Yao do);
-    /// without it each canonical edge must already be unique across shards
-    /// and the CSR builds without a global sort.
-    pub fn to_csr(&self, dedup: bool) -> Csr {
-        if dedup {
-            let mut el = EdgeList::with_capacity(self.n, self.emission_count());
-            for shard in &self.per_shard {
-                for &(u, v) in shard {
-                    el.add(u, v);
-                }
-            }
-            Csr::from_edge_list(el)
-        } else {
-            let mut all = Vec::with_capacity(self.emission_count());
-            for shard in &self.per_shard {
-                all.extend_from_slice(shard);
-            }
-            Csr::from_canonical_edges(self.n, &all)
-        }
-    }
 }
 
 /// A compacted-local id space over a sparse, ascending subset of universe
@@ -302,6 +214,7 @@ pub fn fingerprint<G: GraphView + ?Sized>(g: &G) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::EdgeList;
 
     fn path_graph(n: usize) -> Csr {
         let mut el = EdgeList::new(n);
@@ -309,40 +222,6 @@ mod tests {
             el.add(i - 1, i);
         }
         Csr::from_edge_list(el)
-    }
-
-    #[test]
-    fn store_splices_shards_in_any_partition() {
-        // The same edge set split 1 shard vs 3 shards gives the same CSR.
-        let edges = [(0u32, 1u32), (1, 2), (2, 3), (0, 3)];
-        let mut one = ShardedEdgeStore::new(4, 1);
-        one.replace(0, edges.to_vec());
-        let mut three = ShardedEdgeStore::new(4, 3);
-        three.replace(0, vec![edges[0]]);
-        three.replace(1, vec![edges[1], edges[2]]);
-        three.replace(2, vec![edges[3]]);
-        assert_eq!(one.to_csr(false), three.to_csr(false));
-        assert_eq!(one.to_csr(false).m(), 4);
-    }
-
-    #[test]
-    fn dedup_path_collapses_cross_shard_duplicates() {
-        let mut store = ShardedEdgeStore::new(3, 2);
-        store.replace(0, vec![(0, 1), (1, 2)]);
-        store.replace(1, vec![(1, 2)]); // emitted again from the other side
-        assert_eq!(store.to_csr(true).m(), 2);
-        assert_eq!(store.emission_count(), 3);
-    }
-
-    #[test]
-    fn retain_filters_one_shard_only() {
-        let mut store = ShardedEdgeStore::new(4, 2);
-        store.replace(0, vec![(0, 1), (1, 2)]);
-        store.replace(1, vec![(2, 3)]);
-        store.retain(0, |u, v| u != 1 && v != 1);
-        assert_eq!(store.shard(0), &[]);
-        assert_eq!(store.shard(1), &[(2, 3)]);
-        assert_eq!(store.to_csr(false).m(), 1);
     }
 
     #[test]
@@ -438,22 +317,12 @@ mod tests {
     }
 
     #[test]
-    fn store_emissions_iterate_in_shard_order_with_duplicates() {
-        let mut store = ShardedEdgeStore::new(3, 2);
-        store.replace(0, vec![(0, 1), (1, 2)]);
-        store.replace(1, vec![(1, 2)]);
-        let all: Vec<(u32, u32)> = store.emissions().collect();
-        assert_eq!(all, vec![(0, 1), (1, 2), (1, 2)]);
-        assert_eq!(all.len(), store.emission_count());
-    }
-
-    #[test]
     fn fingerprint_is_layout_blind_across_representations() {
         let g = path_graph(6);
         let chunked = crate::chunked::ChunkedCsr::build(
             3,
             &[0, 0, 1, 1, 2, 2],
-            g.edges().collect::<Vec<_>>().into_iter(),
+            &g.edges().collect::<Vec<_>>(),
         );
         assert_eq!(fingerprint(&g), fingerprint(&chunked));
         assert_eq!(

@@ -13,11 +13,12 @@
 //! * [`csr`] — the [`Csr`] structure, built from a [`builder::EdgeList`]
 //!   or by symmetrising [`DirectedLists`].
 //! * [`chunked`] — the [`ChunkedCsr`]: per-shard adjacency chunks with
-//!   slack pages, spliced in place in O(dirty) per churned epoch.
+//!   slack pages whose entries count the emissions behind them, spliced
+//!   in place in O(dirty) per churned epoch.
 //! * [`view`] — the [`GraphView`] trait and [`CsrView`] enum unifying the
 //!   dense and chunked representations for read-side consumers.
 //! * [`builder`] — edge-list accumulation and deduplication.
-//! * [`delta`] — incremental maintenance: per-shard edge caches, vertex
+//! * [`delta`] — incremental maintenance: dense local id remaps, vertex
 //!   deactivation, monotone relabelling, CSR fingerprints.
 //! * [`perm`] — arbitrary-permutation relabelling, the emission boundary of
 //!   the Morton-ordered construction pipeline.
@@ -50,7 +51,6 @@ pub use chunked::{ChunkedCsr, SpliceStats};
 pub use csr::{Csr, DirectedLists};
 pub use delta::{
     check_monotone, deactivate_vertices, fingerprint, relabel, IdRemap, MonotonicityError,
-    ShardedEdgeStore,
 };
 pub use perm::{invert_permutation, remap_canonical_edges, remap_csr};
 pub use snapshot::{EpochGuard, EpochHandle, EpochPublisher, SnapshotStats};

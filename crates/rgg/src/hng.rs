@@ -256,9 +256,9 @@ impl HngDeps {
     }
 }
 
-/// One shard's HNG emissions as canonical `(min, max)` pairs (symmetrised
-/// and deduplicated downstream like Yao/k-NN), plus the straggler flag
-/// and the dependence record.
+/// One shard's HNG emissions as `(owned node, other)` pairs (symmetrised
+/// and deduplicated downstream like Yao/k-NN; a node may emit one pair at
+/// several rungs), plus the straggler flag and the dependence record.
 ///
 /// `levels` is indexed by the ids in `shard.ids`; `top`/`top_level`
 /// describe the top occupied level of the *whole* population. Each uplink
@@ -310,7 +310,7 @@ where
             straggled = true;
             for &gv in top {
                 if gv != gu {
-                    out.push((gu.min(gv), gu.max(gv)));
+                    out.push((gu, gv));
                 }
             }
         }
@@ -324,7 +324,7 @@ where
                 let ans = fallback(p, gu, j);
                 deps.record(j, p, &ans, links);
                 for &(gv, _) in &ans {
-                    out.push((gu.min(gv), gu.max(gv)));
+                    out.push((gu, gv));
                 }
                 continue;
             };
@@ -348,7 +348,7 @@ where
                 // geometrically.
                 for &(v, _) in &found {
                     let gv = shard.ids[ids_j[v as usize] as usize];
-                    out.push((gu.min(gv), gu.max(gv)));
+                    out.push((gu, gv));
                 }
             } else if covers_all {
                 // Exact (the gather saw everyone) but certified only by
@@ -357,13 +357,13 @@ where
                 deps.record(j, p, &found, links);
                 for &(v, _) in &found {
                     let gv = shard.ids[ids_j[v as usize] as usize];
-                    out.push((gu.min(gv), gu.max(gv)));
+                    out.push((gu, gv));
                 }
             } else {
                 let ans = fallback(p, gu, j);
                 deps.record(j, p, &ans, links);
                 for &(gv, _) in &ans {
-                    out.push((gu.min(gv), gu.max(gv)));
+                    out.push((gu, gv));
                 }
             }
         }

@@ -2,9 +2,9 @@
 //!
 //! A lifetime simulation kills and admits nodes every epoch; rebuilding a
 //! million-node topology from scratch per epoch would dominate wall-clock.
-//! [`IncrementalGraph`] instead keeps the tile-sharded construction's
-//! *per-shard edge caches* ([`wsn_graph::ShardedEdgeStore`]) alive across
-//! epochs and repairs only what churn touched:
+//! [`IncrementalGraph`] instead keeps one adjacency alive across epochs —
+//! a [`wsn_graph::ChunkedCsr`] with one chunk per shard of the
+//! tile-sharded construction — and repairs only what churn touched:
 //!
 //! * Node ids live in a fixed **universe** id space (the initial deployment
 //!   plus any reserve pool); churn toggles an alive mask, never re-indexes.
@@ -15,12 +15,17 @@
 //!   Morton layout buys at construction time comes from cache-dense
 //!   *per-group* remaps ([`wsn_graph::IdRemap`]) on the repair path
 //!   instead.
+//! * Every shard derivation emits an edge from the owned node that selected
+//!   it, so each chunk entry `u → v` can count the emissions `u` made of
+//!   `{u, v}`. The chunk *is* its shard's emission cache: no second copy of
+//!   the adjacency exists, and a repair replaces a shard's emissions by
+//!   splicing its chunk ([`wsn_graph::ChunkedCsr::splice`]).
 //! * A shard is **dirty** when a dead or joined node lies inside its
 //!   ghost-padded extent — every predicate the builders evaluate (disk
 //!   membership, Gabriel blockers, RNG lune witnesses, Yao cone minima,
 //!   in-halo k-NN) only consults points within the halo, so a clean
-//!   shard's cached emissions are *provably identical* to what a cold
-//!   rebuild would emit.
+//!   shard's emissions are *provably identical* to what a cold rebuild
+//!   would emit.
 //! * Dirty shards re-run the exact shard derivation functions of
 //!   [`crate::sharded`] (shared code, not re-implementations) over the
 //!   alive survivors, so the spliced CSR is **byte-identical to a cold
@@ -37,11 +42,13 @@
 //!   when a k-NN halo straggler fires a query the group extent cannot
 //!   certify — counted by [`IncrementalGraph::escalations`], which the
 //!   differential suite asserts stays cold for every other topology. The
-//!   PR-4 whole-population gather survives as
-//!   [`GatherPolicy::Global`] so tests can pin the two paths byte-equal.
+//!   whole-population gather survives as [`GatherPolicy::Global`] so tests
+//!   can pin the two paths byte-equal.
 //! * The UDG gets a *vertex-deactivation fast path*: node death can only
 //!   remove disk edges, so a shard whose padded extent saw deaths but no
-//!   joins is repaired by filtering its cache — no geometry at all.
+//!   joins keeps those of its chunk's emissions
+//!   ([`wsn_graph::ChunkedCsr::emissions`]) whose endpoints both survive —
+//!   no geometry at all.
 //! * k-NN shards that needed the exact whole-population fallback for any
 //!   owned node (*stragglers*) are re-derived every epoch: their lists
 //!   depend on points beyond the halo, so they can never be trusted clean.
@@ -51,7 +58,7 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 use wsn_geom::{Aabb, ShardGrid};
-use wsn_graph::{relabel, ChunkedCsr, Csr, DirectedLists, IdRemap, ShardedEdgeStore};
+use wsn_graph::{relabel, ChunkedCsr, Csr, IdRemap};
 use wsn_pointproc::PointSet;
 use wsn_spatial::GridIndex;
 
@@ -65,8 +72,8 @@ use crate::{
     knn_halo, WHOLE_WINDOW,
 };
 
-/// One dirty shard's re-derived emissions plus its k-NN straggler flag
-/// and (for HNG) its dependence record.
+/// One dirty shard's re-derived `(owned node, other)` emissions plus its
+/// k-NN straggler flag and (for HNG) its dependence record.
 type ShardEdges = (Vec<(u32, u32)>, bool, HngDeps);
 
 /// The plain topologies the incremental engine can maintain (the SENS
@@ -122,6 +129,32 @@ impl IncTopology {
     fn filter_repairs_deaths(&self) -> bool {
         matches!(self, IncTopology::Udg { .. })
     }
+
+    /// Cell side of a spatial index over `pts`: the radius, or the
+    /// expected k-point radius for k-NN and HNG.
+    fn index_cell(&self, pts: &PointSet) -> f64 {
+        match *self {
+            IncTopology::Knn { k } => knn_cell_size(pts, k.max(1)),
+            IncTopology::Hng { links, .. } => knn_cell_size(pts, links.max(1)),
+            IncTopology::Udg { radius }
+            | IncTopology::Gabriel { radius }
+            | IncTopology::Rng { radius }
+            | IncTopology::Yao { radius, .. } => radius,
+        }
+    }
+
+    /// A radius topology's shard emissions, which need nothing beyond the
+    /// shard's gather; `None` for k-NN and HNG, whose derivations may
+    /// need exact fallback queries.
+    fn derive_radius(&self, shard: &Shard) -> Option<Vec<(u32, u32)>> {
+        match *self {
+            IncTopology::Udg { radius } => Some(derive_udg(shard, radius)),
+            IncTopology::Gabriel { radius } => Some(derive_gabriel(shard, radius)),
+            IncTopology::Rng { radius } => Some(derive_rng(shard, radius)),
+            IncTopology::Yao { radius, cones } => Some(derive_yao(shard, radius, cones, None)),
+            IncTopology::Knn { .. } | IncTopology::Hng { .. } => None,
+        }
+    }
 }
 
 /// How re-derivation gathers its working set.
@@ -157,9 +190,9 @@ pub struct RepairStats {
     /// Whole-population index constructions this repair (0 unless a k-NN
     /// halo straggler fired a query its group extent could not certify).
     pub escalations: usize,
-    /// Wall-clock seconds spent splicing the repaired shards' edge delta
-    /// into the chunked CSR — the cost the monolithic `to_csr` path paid
-    /// as O(n + m) every churned epoch regardless of locality.
+    /// Wall-clock seconds spent splicing the repaired shards' emissions
+    /// into the chunked CSR — O(dirty), where a monolithic CSR rebuild
+    /// would pay O(n + m) every churned epoch regardless of locality.
     pub splice_secs: f64,
     /// Chunks the splice rewrote (owner chunks of the delta's endpoints).
     pub spliced_chunks: usize,
@@ -177,11 +210,12 @@ pub struct IncrementalGraph {
     points: PointSet,
     alive: Vec<bool>,
     n_alive: usize,
-    store: ShardedEdgeStore,
     /// Per-shard k-NN straggler flags (always false for other kinds).
     straggler: Vec<bool>,
-    /// The maintained adjacency: one chunk per shard, spliced in place —
-    /// total epoch cost stays proportional to the dirty footprint.
+    /// The maintained adjacency and the only copy of every shard's
+    /// emissions: one chunk per shard, each entry counting the emissions
+    /// its node made, spliced in place — total epoch cost stays
+    /// proportional to the dirty footprint.
     csr: ChunkedCsr,
     policy: GatherPolicy,
     /// Universe ids grouped by owner shard (CSR layout, ascending within a
@@ -193,10 +227,10 @@ pub struct IncrementalGraph {
     /// HNG level per universe id, rolled once at build from the kind's
     /// seed (empty for every other kind). Levels never change under churn.
     levels: Vec<u32>,
-    /// Per-shard HNG dependence records (see [`HngDeps`]; empty for every
-    /// other kind): which fallback-answered uplink rungs the shard's
-    /// cached emissions rest on, so churn outside both the shard's padded
-    /// geometry and every recorded box provably leaves the cache exact.
+    /// Per-shard HNG dependence records (see [`HngDeps`]; always empty
+    /// for every other kind): which fallback-answered uplink rungs the
+    /// shard's emissions rest on, so churn outside both the shard's padded
+    /// geometry and every recorded box provably leaves them exact.
     hng_deps: Vec<HngDeps>,
     /// The alive population's top occupied level and its ascending member
     /// ids, as of the last repair — the HNG clique. Tracked incrementally
@@ -282,7 +316,6 @@ impl IncrementalGraph {
         let mut g = IncrementalGraph {
             kind,
             halo,
-            store: ShardedEdgeStore::new(points.len(), grid.shard_count()),
             straggler: vec![false; grid.shard_count()],
             hng_deps: vec![HngDeps::default(); grid.shard_count()],
             hng_top,
@@ -299,13 +332,15 @@ impl IncrementalGraph {
             last_dirty_extents: Vec::new(),
         };
         let all: Vec<usize> = (0..g.grid.shard_count()).collect();
-        g.rederive_shards(&all);
+        let mut emissions = Vec::new();
+        g.rederive_shards(&all, &mut emissions);
         // One chunk per shard: each node's adjacency lives in its owner
-        // shard's arena region, so a shard repair splices one chunk. The
-        // build folds cross-shard duplicate emissions (k-NN, Yao) into
-        // per-entry multiplicities — no global dedup sort, here or later.
+        // shard's arena region, so a shard repair splices one chunk. Every
+        // emission comes from a node its shard owns, so the entries' own
+        // counts are exactly the shards' emission caches — no global dedup
+        // sort and no second copy, here or later.
         let chunk_of: Vec<u32> = g.points.iter().map(|p| g.grid.owner_of(p) as u32).collect();
-        g.csr = ChunkedCsr::build(g.grid.shard_count(), &chunk_of, g.store.emissions());
+        g.csr = ChunkedCsr::build(g.grid.shard_count(), &chunk_of, &emissions);
         g
     }
 
@@ -432,15 +467,16 @@ impl IncrementalGraph {
             shard_count: self.grid.shard_count(),
             ..RepairStats::default()
         };
-        // Snapshot every dirty shard's cached emissions *before* repair
-        // mutates them: the splice consumes the repair as an edge delta
-        // (old emissions out, new emissions in), and whatever the repair
-        // kept cancels, so the CSR work tracks the delta — O(dirty) — not
-        // the graph. Clean shards contribute nothing, yet their nodes'
-        // lists still update when a dirty shard's cross-shard edge
-        // appears or disappears (the delta is routed by endpoint).
+        // Every dirty shard's chunk gets its repaired emissions: a filtered
+        // shard keeps those of its old ones whose endpoints both survive, a
+        // re-derived shard emits afresh. The splice reads the old emissions
+        // from the chunks themselves, and whatever the repair kept cancels,
+        // so the CSR work tracks the delta — O(dirty) — not the graph.
+        // Clean shards contribute nothing, yet their nodes' lists still
+        // update when a dirty shard's cross-shard edge appears or
+        // disappears (the delta is routed by endpoint).
         let mut dirty_list = Vec::new();
-        let mut removed: Vec<(u32, u32)> = Vec::new();
+        let mut emissions: Vec<(u32, u32)> = Vec::new();
         let mut rederive = Vec::new();
         for (s, &st) in state.iter().enumerate() {
             match st {
@@ -449,16 +485,17 @@ impl IncrementalGraph {
                     stats.dirty += 1;
                     stats.filtered += 1;
                     dirty_list.push(s);
-                    removed.extend_from_slice(self.store.shard(s));
                     let alive = &self.alive;
-                    self.store
-                        .retain(s, |u, v| alive[u as usize] && alive[v as usize]);
+                    emissions.extend(
+                        self.csr
+                            .emissions(s)
+                            .filter(|&(u, v)| alive[u as usize] && alive[v as usize]),
+                    );
                 }
                 _ => {
                     stats.dirty += 1;
                     stats.rederived += 1;
                     dirty_list.push(s);
-                    removed.extend_from_slice(self.store.shard(s));
                     rederive.push(s);
                 }
             }
@@ -472,18 +509,13 @@ impl IncrementalGraph {
             .into_iter()
             .map(|g| g.extent)
             .collect();
-        let (gathered, escalations) = self.rederive_shards(&rederive);
+        let (gathered, escalations) = self.rederive_shards(&rederive, &mut emissions);
         stats.gathered = gathered;
         stats.escalations = escalations;
-        // A quiescent epoch (no dirty shards) leaves every cache — and
-        // therefore the spliced CSR — untouched.
+        // A quiescent epoch (no dirty shards) leaves the CSR untouched.
         if stats.dirty > 0 {
             let splice_start = Instant::now();
-            let mut added: Vec<(u32, u32)> = Vec::new();
-            for &s in &dirty_list {
-                added.extend_from_slice(self.store.shard(s));
-            }
-            let splice = self.csr.splice(&removed, &added);
+            let splice = self.csr.splice(&dirty_list, &emissions);
             stats.splice_secs = splice_start.elapsed().as_secs_f64();
             stats.spliced_chunks = splice.chunks_touched;
             stats.splice_relocations = splice.relocations;
@@ -563,15 +595,16 @@ impl IncrementalGraph {
     }
 
     /// Re-derive the listed shards over the current alive population,
-    /// replacing their caches (shared-code path: `crate::sharded`).
+    /// appending their emissions to `out` and refreshing their straggler
+    /// and dependence records (shared-code path: `crate::sharded`).
     /// Returns `(points gathered, global-index escalations)`.
-    fn rederive_shards(&mut self, dirty: &[usize]) -> (usize, usize) {
+    fn rederive_shards(&mut self, dirty: &[usize], out: &mut Vec<(u32, u32)>) -> (usize, usize) {
         if dirty.is_empty() {
             return (0, 0);
         }
         match self.policy {
-            GatherPolicy::Local => self.rederive_local(dirty),
-            GatherPolicy::Global => (self.rederive_global(dirty), 0),
+            GatherPolicy::Local => self.rederive_local(dirty, out),
+            GatherPolicy::Global => (self.rederive_global(dirty, out), 0),
         }
     }
 
@@ -582,7 +615,7 @@ impl IncrementalGraph {
     /// the shard derivations see exactly the point sets the global gather
     /// would hand them, in the same (universe-ascending) order, and emit
     /// bit-identical edges.
-    fn rederive_local(&mut self, dirty: &[usize]) -> (usize, usize) {
+    fn rederive_local(&mut self, dirty: &[usize], out: &mut Vec<(u32, u32)>) -> (usize, usize) {
         let kind = self.kind;
         let (grid, halo) = (&self.grid, self.halo);
         let groups = grid.merge_padded_extents(dirty, halo);
@@ -646,14 +679,7 @@ impl IncrementalGraph {
                 if pts.is_empty() {
                     return None;
                 }
-                let cell = match kind {
-                    IncTopology::Knn { k } => knn_cell_size(pts, k.max(1)),
-                    IncTopology::Hng { links, .. } => knn_cell_size(pts, links.max(1)),
-                    IncTopology::Udg { radius }
-                    | IncTopology::Gabriel { radius }
-                    | IncTopology::Rng { radius }
-                    | IncTopology::Yao { radius, .. } => radius,
-                };
+                let cell = kind.index_cell(pts);
                 // `pts` is already the *restriction* of the alive
                 // population to the group extent — certification must
                 // keep checking query support against the extent (the
@@ -687,19 +713,10 @@ impl IncrementalGraph {
                     return Ok((Vec::new(), false, HngDeps::default()));
                 };
                 let shard = Shard::gather_mapped(pts, remap.to_universe(), index, grid, s, halo);
+                if let Some(edges) = kind.derive_radius(&shard) {
+                    return Ok((edges, false, HngDeps::default()));
+                }
                 match kind {
-                    IncTopology::Udg { radius } => {
-                        Ok((derive_udg(&shard, radius), false, HngDeps::default()))
-                    }
-                    IncTopology::Gabriel { radius } => {
-                        Ok((derive_gabriel(&shard, radius), false, HngDeps::default()))
-                    }
-                    IncTopology::Rng { radius } => {
-                        Ok((derive_rng(&shard, radius), false, HngDeps::default()))
-                    }
-                    IncTopology::Yao { radius, cones } => {
-                        Ok((derive_yao(&shard, radius, cones), false, HngDeps::default()))
-                    }
                     IncTopology::Knn { k } => {
                         let padded = grid.padded(s, halo);
                         let covers_all = alive_bbox
@@ -724,7 +741,7 @@ impl IncrementalGraph {
                         if uncertified.get() {
                             return Err(Vec::new());
                         }
-                        Ok((canonical_edges(&lists), strag, HngDeps::default()))
+                        Ok((lists.pairs().collect(), strag, HngDeps::default()))
                     }
                     IncTopology::Hng { links, .. } => {
                         let padded = grid.padded(s, halo);
@@ -756,6 +773,7 @@ impl IncrementalGraph {
                         }
                         Ok((edges, strag, deps))
                     }
+                    _ => unreachable!("radius topologies derive above"),
                 }
             })
             .collect();
@@ -765,13 +783,7 @@ impl IncrementalGraph {
         let mut needed_levels: Vec<u32> = Vec::new();
         for (&s, res) in dirty.iter().zip(results) {
             match res {
-                Ok((edges, strag, deps)) => {
-                    self.store.replace(s, edges);
-                    self.straggler[s] = strag;
-                    if is_hng {
-                        self.hng_deps[s] = deps;
-                    }
-                }
+                Ok(res) => self.record(s, res, out),
                 Err(mut lv) => {
                     needed_levels.append(&mut lv);
                     escalate.push(s);
@@ -794,9 +806,10 @@ impl IncrementalGraph {
                     &indexes,
                     &group_of,
                     &alive_bbox,
+                    out,
                 );
             } else {
-                gathered += self.rederive_global(&escalate);
+                gathered += self.rederive_global(&escalate, out);
             }
         }
         (gathered, escalations)
@@ -817,6 +830,7 @@ impl IncrementalGraph {
         indexes: &[Option<wsn_spatial::SubIndex>],
         group_of: &[usize],
         alive_bbox: &Option<Aabb>,
+        out: &mut Vec<(u32, u32)>,
     ) -> usize {
         let IncTopology::Hng { links, .. } = self.kind else {
             unreachable!("HNG-only escalation path");
@@ -896,10 +910,8 @@ impl IncrementalGraph {
                 )
             })
             .collect();
-        for (&s, (edges, strag, deps)) in dirty.iter().zip(results) {
-            self.store.replace(s, edges);
-            self.straggler[s] = strag;
-            self.hng_deps[s] = deps;
+        for (&s, res) in dirty.iter().zip(results) {
+            self.record(s, res, out);
         }
         gathered
     }
@@ -907,25 +919,15 @@ impl IncrementalGraph {
     /// The PR-4 whole-population re-derivation: compact the alive set,
     /// build one global index, derive the listed shards against it.
     /// Returns the number of points gathered (= the alive population).
-    fn rederive_global(&mut self, dirty: &[usize]) -> usize {
+    fn rederive_global(&mut self, dirty: &[usize], out: &mut Vec<(u32, u32)>) -> usize {
         let (sub, to_universe, to_compact) = compact(&self.points, &self.alive);
         if sub.is_empty() {
             for &s in dirty {
-                self.store.replace(s, Vec::new());
-                self.straggler[s] = false;
-                self.hng_deps[s] = HngDeps::default();
+                self.record(s, ShardEdges::default(), out);
             }
             return 0;
         }
-        let cell = match self.kind {
-            IncTopology::Knn { k } => knn_cell_size(&sub, k.max(1)),
-            IncTopology::Hng { links, .. } => knn_cell_size(&sub, links.max(1)),
-            IncTopology::Udg { radius }
-            | IncTopology::Gabriel { radius }
-            | IncTopology::Rng { radius }
-            | IncTopology::Yao { radius, .. } => radius,
-        };
-        let index = GridIndex::build(&sub, cell);
+        let index = GridIndex::build(&sub, self.kind.index_cell(&sub));
         let bbox = sub.bounding_box().expect("sub is non-empty");
         let kind = self.kind;
         let (grid, halo) = (&self.grid, self.halo);
@@ -954,19 +956,10 @@ impl IncrementalGraph {
             .into_par_iter()
             .map(|s| {
                 let shard = Shard::gather_mapped(&sub, &to_universe, &index, grid, s, halo);
+                if let Some(edges) = kind.derive_radius(&shard) {
+                    return (edges, false, HngDeps::default());
+                }
                 match kind {
-                    IncTopology::Udg { radius } => {
-                        (derive_udg(&shard, radius), false, HngDeps::default())
-                    }
-                    IncTopology::Gabriel { radius } => {
-                        (derive_gabriel(&shard, radius), false, HngDeps::default())
-                    }
-                    IncTopology::Rng { radius } => {
-                        (derive_rng(&shard, radius), false, HngDeps::default())
-                    }
-                    IncTopology::Yao { radius, cones } => {
-                        (derive_yao(&shard, radius, cones), false, HngDeps::default())
-                    }
                     IncTopology::Knn { k } => {
                         let padded = grid.padded(s, halo);
                         let covers_all = padded.contains_aabb(&bbox);
@@ -980,7 +973,7 @@ impl IncrementalGraph {
                                     .map(|(v, _)| to_universe[v as usize])
                                     .collect()
                             });
-                        (canonical_edges(&lists), strag, HngDeps::default())
+                        (lists.pairs().collect(), strag, HngDeps::default())
                     }
                     IncTopology::Hng { links, .. } => {
                         let padded = grid.padded(s, halo);
@@ -1016,18 +1009,22 @@ impl IncrementalGraph {
                             },
                         )
                     }
+                    _ => unreachable!("radius topologies derive above"),
                 }
             })
             .collect();
-        let is_hng = matches!(self.kind, IncTopology::Hng { .. });
-        for (&s, (edges, strag, deps)) in dirty.iter().zip(results) {
-            self.store.replace(s, edges);
-            self.straggler[s] = strag;
-            if is_hng {
-                self.hng_deps[s] = deps;
-            }
+        for (&s, res) in dirty.iter().zip(results) {
+            self.record(s, res, out);
         }
         sub.len()
+    }
+
+    /// Take one re-derived shard's result: its emissions join `out`, its
+    /// straggler flag and dependence record replace the old ones.
+    fn record(&mut self, s: usize, (edges, strag, deps): ShardEdges, out: &mut Vec<(u32, u32)>) {
+        out.extend(edges);
+        self.straggler[s] = strag;
+        self.hng_deps[s] = deps;
     }
 
     /// Build the same topology cold — monolithic reference builder on the
@@ -1071,16 +1068,6 @@ impl IncrementalGraph {
 pub fn compact_alive(points: &PointSet, alive: &[bool]) -> (PointSet, Vec<u32>) {
     let (sub, to_universe, _) = compact(points, alive);
     (sub, to_universe)
-}
-
-/// A shard's k-NN emissions as canonical pairs, one per listed direction:
-/// a pair listed from both ends appears twice and collapses downstream,
-/// like Yao's.
-fn canonical_edges(lists: &DirectedLists) -> Vec<(u32, u32)> {
-    lists
-        .iter()
-        .flat_map(|(u, list)| list.iter().map(move |&v| (u.min(v), u.max(v))))
-        .collect()
 }
 
 /// Universe ids grouped by owner shard (counting sort, so ids stay

@@ -24,10 +24,10 @@
 //! kernel keys ties on `to_orig[rank]` ([`wsn_spatial::GridIndex::knn_into`]),
 //! in shard-local queries and straggler fallbacks alike, so lattices and
 //! co-located duplicates select exactly what the deployment-order builder
-//! selects. The key is read only when two squared distances are equal.
-//! Yao cones and HNG uplinks still key such ties on rank ids; on inputs
-//! with exact ties their ordered graphs can differ from the deployment-
-//! order ones. HNG level draws are seeded per *original* id
+//! selects. Yao's per-cone minima take the same key. Either key is read
+//! only when two distances are equal. HNG uplinks still key such ties on
+//! rank ids; on inputs with exact ties its ordered graph can differ from
+//! the deployment-order one. HNG level draws are seeded per *original* id
 //! ([`crate::hng::hng_levels`]) and gathered into rank space, so the level
 //! structure itself is layout-independent by construction.
 
@@ -37,8 +37,7 @@ use wsn_pointproc::{PointOrder, PointSet};
 
 use crate::hng::{build_hng_sharded_on_levels, hng_levels, HngParams};
 use crate::sharded::{
-    build_gabriel_sharded, build_rng_sharded, build_udg_sharded, build_yao_sharded,
-    knn_sharded_parts,
+    build_gabriel_sharded, build_rng_sharded, build_udg_sharded, knn_sharded_parts, yao_sharded,
 };
 
 /// UDG over a prepared order — edge-identical to [`crate::build_udg`].
@@ -68,15 +67,23 @@ pub fn build_rng_on_order(order: &PointOrder, radius: f64, tiles_per_shard: usiz
 }
 
 /// Yao graph over a prepared order — edge-identical to [`crate::build_yao`].
+/// Exact-distance ties in a cone are keyed on original ids.
 pub fn build_yao_on_order(
     order: &PointOrder,
     radius: f64,
     cones: usize,
     tiles_per_shard: usize,
 ) -> Csr {
+    let to_orig = order.to_orig();
     remap_csr(
-        &build_yao_sharded(order.points(), radius, cones, tiles_per_shard),
-        order.to_orig(),
+        &yao_sharded(
+            order.points(),
+            radius,
+            cones,
+            tiles_per_shard,
+            Some(to_orig),
+        ),
+        to_orig,
     )
 }
 
@@ -186,6 +193,27 @@ mod tests {
         assert_eq!(build_knn_on_order(&order, 6, 4), build_knn(&p, 6));
         let hp = HngParams::new(0.4, 2);
         assert_eq!(build_hng_on_order(&order, hp, 3, 4), build_hng(&p, hp, 3));
+    }
+
+    #[test]
+    fn yao_cone_ties_break_on_original_ids() {
+        // Lattice neighbours tie exactly inside one or two wide cones; a
+        // reversed layout flips every rank comparison, so only an
+        // original-id key selects what the monolithic builder selects.
+        let p: PointSet = (0..144)
+            .map(|i| wsn_geom::Point::new((i % 12) as f64, (i / 12) as f64))
+            .collect();
+        let rev = PointOrder::from_to_orig(&p, (0..144u32).rev().collect());
+        for cones in [1, 2] {
+            let want = build_yao(&p, 1.5, cones);
+            for tiles in [1, 4] {
+                assert_eq!(
+                    build_yao_on_order(&rev, 1.5, cones, tiles),
+                    want,
+                    "{cones}/{tiles}"
+                );
+            }
+        }
     }
 
     #[test]

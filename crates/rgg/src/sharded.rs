@@ -34,7 +34,9 @@
 //!   and RNG witnesses lie within `radius` of the nearer endpoint).
 //! * Local ids are assigned in ascending global-id order, so every id
 //!   tie-break (k-NN selection keys, Yao per-cone minima) orders candidates
-//!   the same way.
+//!   the same way. On the Morton-ordered path the global ids are ranks, and
+//!   k-NN and Yao break exact ties on a caller-supplied key (the original
+//!   ids) instead.
 //! * Predicates are evaluated with the same operand order as the monolithic
 //!   code (smaller global id first), so float results are identical — not
 //!   merely equivalent.
@@ -253,17 +255,26 @@ pub(crate) fn derive_rng(shard: &Shard, radius: f64) -> Vec<(u32, u32)> {
 }
 
 /// One shard's Yao emissions: per owned node, the nearest neighbour of each
-/// angular cone, as canonical pairs (an edge may also be emitted by its
-/// other endpoint's shard — splice through the deduplicating path).
-pub(crate) fn derive_yao(shard: &Shard, radius: f64, cones: usize) -> Vec<(u32, u32)> {
+/// angular cone, emitted from that node (an edge may also be emitted by its
+/// other endpoint — splice through the deduplicating path). `tie` maps
+/// global ids to the keys that break exact distance ties, as in
+/// [`GridIndex::knn_into`]; `None` keys them on the global ids. The key is
+/// read only when two distances are equal.
+pub(crate) fn derive_yao(
+    shard: &Shard,
+    radius: f64,
+    cones: usize,
+    tie: Option<&[u32]>,
+) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
     if shard.pts.is_empty() {
         return out;
     }
     let sector = std::f64::consts::TAU / cones as f64;
     let index = GridIndex::build(&shard.pts, radius);
+    let key = |g: u32| tie.map_or(g, |t| t[g as usize]);
     // best[c] = (dist, global id) of the nearest neighbour in cone c —
-    // keyed on global ids so ties break exactly as in the monolithic
+    // ties broken on the key so they resolve exactly as in the monolithic
     // builder.
     let mut best: Vec<Option<(f64, u32)>> = vec![None; cones];
     for (u, p) in shard.pts.iter_enumerated() {
@@ -280,13 +291,14 @@ pub(crate) fn derive_yao(shard: &Shard, radius: f64, cones: usize) -> Vec<(u32, 
                 .atan2(q.x - p.x)
                 .rem_euclid(std::f64::consts::TAU);
             let cone = ((angle / sector) as usize).min(cones - 1);
-            let cand = (p.dist(q), shard.ids[v as usize]);
-            if best[cone].is_none_or(|cur| cand < cur) {
-                best[cone] = Some(cand);
+            let (d, gv) = (p.dist(q), shard.ids[v as usize]);
+            let better = best[cone].is_none_or(|(bd, bv)| d < bd || (d == bd && key(gv) < key(bv)));
+            if better {
+                best[cone] = Some((d, gv));
             }
         });
         for b in best.iter().flatten() {
-            out.push((gu.min(b.1), gu.max(b.1)));
+            out.push((gu, b.1));
         }
     }
     out
@@ -481,6 +493,18 @@ pub fn build_yao_sharded(
     cones: usize,
     tiles_per_shard: usize,
 ) -> Csr {
+    yao_sharded(points, radius, cones, tiles_per_shard, None)
+}
+
+/// [`build_yao_sharded`] with exact distance ties keyed through `tie` (see
+/// [`derive_yao`]) — the Morton-ordered path keys them on original ids.
+pub(crate) fn yao_sharded(
+    points: &PointSet,
+    radius: f64,
+    cones: usize,
+    tiles_per_shard: usize,
+    tie: Option<&[u32]>,
+) -> Csr {
     assert!(cones >= 1, "need at least one cone");
     if points.is_empty() {
         return Csr::empty(0);
@@ -492,6 +516,7 @@ pub fn build_yao_sharded(
             &Shard::gather(points, &gather, &grid, s, radius),
             radius,
             cones,
+            tie,
         )
     });
     // Directed selections can coincide from both endpoints (possibly in

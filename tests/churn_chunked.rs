@@ -1,9 +1,10 @@
 //! Chunked-CSR differential suite.
 //!
-//! PR-6 replaced the per-epoch monolithic `ShardedEdgeStore::to_csr`
-//! (Θ(n + m) even for a 1-shard repair) with a chunked CSR: per-shard
-//! adjacency sub-arrays with slack pages, spliced in place from the dirty
-//! shards' coalesced edge delta. The contract is double:
+//! The maintained graph is a chunked CSR, not a per-epoch monolithic
+//! rebuild (Θ(n + m) even for a 1-shard repair): per-shard adjacency
+//! sub-arrays with slack pages, whose entries count the emissions behind
+//! them, spliced in place when a dirty shard's emissions are replaced. The
+//! contract is threefold:
 //!
 //! 1. **Byte identity.** The chunked representation densified
 //!    ([`ChunkedCsr::to_dense`]) must be byte-identical to a cold
@@ -17,12 +18,17 @@
 //!    churned region: a 1-shard churn touches a bounded neighbourhood of
 //!    chunks, a quiescent epoch touches none, and sustained growth inside
 //!    one shard relocates that shard's chunk without disturbing the rest.
+//! 3. **Splice algebra.** On [`ChunkedCsr`] itself, any sequence of
+//!    emission replacements — both-side duplicates and one node emitting
+//!    a pair several times included — equals a fresh build of the current
+//!    lists and the dense graph of their union, and every chunk's
+//!    emissions read back exactly as they were spliced in.
 
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
-use wsn::geom::hash::derive_seed2;
+use wsn::geom::hash::{derive_seed2, splitmix64};
 use wsn::geom::Aabb;
-use wsn::graph::fingerprint;
+use wsn::graph::{fingerprint, ChunkedCsr, Csr, EdgeList};
 use wsn::pointproc::matern::sample_matern_ii;
 use wsn::pointproc::{rng_from_seed, sample_poisson_window, PointSet};
 use wsn::rgg::{GatherPolicy, IncTopology, IncrementalGraph};
@@ -384,6 +390,91 @@ proptest! {
                 "{:?} seed {} epoch {} diverged from cold rebuild",
                 kind, seed, e
             );
+        }
+    }
+}
+
+/// Random directed emissions from the nodes of chunk `c`: `budget` draws,
+/// each emitted once, twice or three times (the last two as an HNG node
+/// re-selecting one uplink at several rungs does).
+fn random_emissions(rng: &mut u64, chunk_of: &[u32], c: u32, budget: usize) -> Vec<(u32, u32)> {
+    let n = chunk_of.len() as u64;
+    let owned: Vec<u32> = (0..n as u32)
+        .filter(|&u| chunk_of[u as usize] == c)
+        .collect();
+    let mut out = Vec::new();
+    if owned.is_empty() {
+        return out;
+    }
+    for _ in 0..budget {
+        let u = owned[(splitmix64(rng) % owned.len() as u64) as usize];
+        let v = (splitmix64(rng) % n) as u32;
+        let copies = [3, 2, 2, 1, 1, 1, 1, 1][(splitmix64(rng) % 8) as usize];
+        if u != v {
+            out.extend(std::iter::repeat_n((u, v), copies));
+        }
+    }
+    out
+}
+
+fn dense(n: usize, edges: &[(u32, u32)]) -> Csr {
+    let mut el = EdgeList::new(n);
+    for &(u, v) in edges {
+        el.add(u, v);
+    }
+    Csr::from_edge_list(el)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random chunk assignments and per-chunk emission lists (an edge
+    /// emitted from both sides whenever two draws meet), then random
+    /// replace sequences — some chunks keep part of their old list, so the
+    /// delta partly cancels. After every step the spliced structure equals
+    /// a fresh build and the dense graph, and emissions round-trip.
+    #[test]
+    fn prop_chunked_splice_sequences_match_fresh_build(
+        seed in 0u64..1_000_000,
+        n in 2usize..40,
+        n_chunks in 1u32..6,
+    ) {
+        let _guard = env_guard();
+        let mut rng = seed;
+        let chunk_of: Vec<u32> =
+            (0..n).map(|_| (splitmix64(&mut rng) % n_chunks as u64) as u32).collect();
+        let mut lists: Vec<Vec<(u32, u32)>> = (0..n_chunks)
+            .map(|c| random_emissions(&mut rng, &chunk_of, c, n))
+            .collect();
+        let mut g = ChunkedCsr::build(n_chunks as usize, &chunk_of, &lists.concat());
+        for step in 0..8 {
+            let chunks: Vec<usize> = (0..n_chunks as usize)
+                .filter(|_| splitmix64(&mut rng).is_multiple_of(2))
+                .collect();
+            let mut added = Vec::new();
+            for &c in &chunks {
+                let keep = !splitmix64(&mut rng).is_multiple_of(3);
+                let mut next: Vec<(u32, u32)> = lists[c]
+                    .iter()
+                    .copied()
+                    .filter(|_| keep && !splitmix64(&mut rng).is_multiple_of(4))
+                    .collect();
+                let budget = (splitmix64(&mut rng) % (2 * n as u64)) as usize;
+                next.extend(random_emissions(&mut rng, &chunk_of, c as u32, budget));
+                added.extend_from_slice(&next);
+                lists[c] = next;
+            }
+            g.splice(&chunks, &added);
+            let all = lists.concat();
+            let fresh = ChunkedCsr::build(n_chunks as usize, &chunk_of, &all);
+            prop_assert!(g == fresh, "step {} diverged from a fresh build", step);
+            prop_assert!(g == dense(n, &all), "step {} diverged from dense", step);
+            for (c, list) in lists.iter().enumerate() {
+                let mut want = list.clone();
+                want.sort_unstable();
+                let got: Vec<(u32, u32)> = g.emissions(c).collect();
+                prop_assert_eq!(got, want, "chunk {} step {}", c, step);
+            }
         }
     }
 }

@@ -381,3 +381,58 @@ proptest! {
         }
     }
 }
+
+/// One epoch of a fuzzed schedule: a death rate and a join rate drawn per
+/// epoch (none, light, heavy or total), and sometimes a disk blackout that
+/// kills everything near a random centre — so deaths-only, joins-only,
+/// mixed and quiescent epochs all come up.
+fn fuzz_epoch(g: &IncrementalGraph, seed: u64, e: u64) -> (Vec<u32>, Vec<u32>) {
+    let rate = |h: u64| [0u64, 0, 3, 10, 40, 100][(h % 6) as usize];
+    let (die, join) = (
+        rate(derive_seed2(seed, e, 1)),
+        rate(derive_seed2(seed, e, 2)),
+    );
+    let blast = derive_seed2(seed, e, 3).is_multiple_of(3);
+    let centre = g
+        .points()
+        .get((derive_seed2(seed, e, 4) % g.points().len() as u64) as u32);
+    let mut deaths = Vec::new();
+    let mut joins = Vec::new();
+    for (u, q) in g.points().iter_enumerated() {
+        let h = derive_seed2(seed, e, 16 + u as u64) % 100;
+        if g.alive()[u as usize] {
+            if h < die || (blast && q.dist(centre) < 1.5) {
+                deaths.push(u);
+            }
+        } else if h < join {
+            joins.push(u);
+        }
+    }
+    (deaths, joins)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Fuzzed `apply_churn` schedules over all six kinds and several shard
+    /// sizes: after every epoch the spliced graph equals a cold rebuild.
+    #[test]
+    fn prop_fuzzed_churn_schedules_stay_identical_for_every_kind(
+        seed in 0u64..1_000_000,
+        tiles in 1usize..4,
+    ) {
+        let _guard = env_guard();
+        let points = sample_poisson_window(&mut rng_from_seed(seed), 4.0, &Aabb::square(6.0));
+        prop_assume!(points.len() > 1);
+        let alive: Vec<bool> =
+            (0..points.len()).map(|u| !derive_seed2(seed, 0, u as u64).is_multiple_of(4)).collect();
+        for kind in KINDS {
+            let mut g = IncrementalGraph::build(points.clone(), alive.clone(), kind, tiles);
+            for e in 1..5u64 {
+                let (deaths, joins) = fuzz_epoch(&g, seed, e);
+                g.apply_churn(&deaths, &joins);
+                prop_assert!(g.verify_cold(), "{:?} epoch {} (tiles {})", kind, e, tiles);
+            }
+        }
+    }
+}

@@ -32,7 +32,8 @@ use wsn::rgg::ordered::{
 };
 use wsn::rgg::{
     build_gabriel, build_hng, build_knn, build_knn_ordered, build_knn_sharded, build_rng,
-    build_udg, build_yao, knn_halo, knn_lists, knn_lists_sharded, HngParams, WHOLE_WINDOW,
+    build_udg, build_yao, build_yao_ordered, build_yao_sharded, knn_halo, knn_lists,
+    knn_lists_sharded, HngParams, WHOLE_WINDOW,
 };
 
 /// `RAYON_NUM_THREADS` is process-global; serialise every test body.
@@ -227,7 +228,8 @@ fn lattice(side: usize) -> PointSet {
         .collect()
 }
 
-/// The geometries on which exact distance ties decide the k-NN answer.
+/// The geometries on which exact distance ties decide the k-NN and Yao
+/// answers.
 fn tie_geometries() -> Vec<(&'static str, PointSet)> {
     let single = lattice(60);
     // Every lattice point twice: co-located pairs tie at distance zero.
@@ -261,6 +263,33 @@ fn knn_builders_agree_on_exact_tie_geometries() {
                 assert_eq!(sharded, reference, "sharded {name}, k {k}, tiles {tiles}");
                 let ordered = build_knn_ordered(&pts, k, tiles);
                 assert_eq!(ordered, reference, "ordered {name}, k {k}, tiles {tiles}");
+            }
+        }
+    }
+}
+
+/// Yao's per-cone minima on the same tie geometries: at one or two cones
+/// a cone holds several lattice neighbours at exactly the same distance,
+/// so the ordered path must break the tie on original ids, as the
+/// monolithic builder does.
+#[test]
+fn yao_builders_agree_on_exact_tie_geometries() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let radius = 1.5;
+    for (name, pts) in tie_geometries() {
+        for cones in [1usize, 2, 3, 6] {
+            let reference = build_yao(&pts, radius, cones);
+            for tiles in [1usize, 4, 16, WHOLE_WINDOW] {
+                let sharded = build_yao_sharded(&pts, radius, cones, tiles);
+                assert_eq!(
+                    sharded, reference,
+                    "sharded {name}, cones {cones}, tiles {tiles}"
+                );
+                let ordered = build_yao_ordered(&pts, radius, cones, tiles);
+                assert_eq!(
+                    ordered, reference,
+                    "ordered {name}, cones {cones}, tiles {tiles}"
+                );
             }
         }
     }

@@ -392,9 +392,9 @@ fn u01(h: u64) -> f64 {
 
 /// The published fingerprint walk equals the batch churn engine's
 /// `graph_hash` channel for the same `(universe, kind, schedule, seed)` —
-/// the regression fence for serve/batch divergence. (Capture itself
-/// asserts snapshot fingerprint == live post-splice fingerprint on every
-/// publish, so this test also transitively pins that equality.)
+/// the regression fence for serve/batch divergence. (The serve module's
+/// unit tests pin snapshot fingerprint == live post-splice fingerprint on
+/// every epoch of the same writer schedule.)
 #[test]
 fn published_fingerprints_equal_batch_graph_hash_channel() {
     for (ki, kind) in KINDS.into_iter().enumerate() {

@@ -14,13 +14,13 @@
 
 use std::sync::Mutex;
 
-use wsn::core::nn::{build_nn_sens, build_nn_sens_parallel};
+use wsn::core::nn::{build_nn_sens, build_nn_sens_ordered};
 use wsn::core::params::{NnSensParams, UdgSensParams};
 use wsn::core::tilegrid::TileGrid;
-use wsn::core::udg::{build_udg_sens, build_udg_sens_parallel};
+use wsn::core::udg::{build_udg_sens, build_udg_sens_ordered};
 use wsn::geom::Aabb;
 use wsn::graph::Csr;
-use wsn::pointproc::{rng_from_seed, sample_poisson_window, PointSet};
+use wsn::pointproc::{rng_from_seed, sample_poisson_window, PointOrder, PointSet};
 use wsn::rgg::{
     build_gabriel, build_gabriel_sharded, build_hng, build_hng_sharded, build_knn,
     build_knn_sharded, build_rng, build_rng_sharded, build_udg, build_udg_sharded, build_yao,
@@ -119,8 +119,9 @@ fn sens_topologies_are_identical_across_threads() {
     let grid = TileGrid::fit(14.0, udg_params.tile_side);
     for (dep_name, pts) in deployments(0x5E45, &grid.covered_area()) {
         let mono = build_udg_sens(&pts, udg_params, grid.clone()).unwrap();
+        let order = PointOrder::morton(&pts);
         with_threads(|threads| {
-            let par = build_udg_sens_parallel(&pts, udg_params, grid.clone()).unwrap();
+            let par = build_udg_sens_ordered(&pts, &order, udg_params, grid.clone()).unwrap();
             assert_eq!(par.lattice, mono.lattice, "{dep_name} threads={threads}");
             assert_eq!(par.reps, mono.reps);
             assert_eq!(par.roles, mono.roles);
@@ -138,11 +139,13 @@ fn sens_topologies_are_identical_across_threads() {
     let pts = sample_poisson_window(&mut rng_from_seed(0x4E4E), 1.0, &nn_grid.covered_area());
     let base_mono = build_knn(&pts, nn_params.k);
     let mono = build_nn_sens(&pts, &base_mono, nn_params, nn_grid.clone()).unwrap();
+    let order = PointOrder::morton(&pts);
     with_threads(|threads| {
         for shard_tiles in SHARD_SIZES {
             let base = build_knn_sharded(&pts, nn_params.k, shard_tiles);
             assert_eq!(base, base_mono, "NN base (shard_tiles = {shard_tiles})");
-            let par = build_nn_sens_parallel(&pts, &base, nn_params, nn_grid.clone()).unwrap();
+            let par =
+                build_nn_sens_ordered(&pts, &order, &base, nn_params, nn_grid.clone()).unwrap();
             assert_eq!(par.lattice, mono.lattice);
             assert_eq!(par.reps, mono.reps);
             assert_eq!(
